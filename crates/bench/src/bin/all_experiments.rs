@@ -17,66 +17,14 @@
 //!   tripwire CI runs. Baselines from a different mode (quick vs full) are
 //!   skipped with a warning rather than compared.
 //! - Each experiment's structured result lands in `results/eNN_<name>.json`;
-//!   the aggregate (wall time, simulated cycles/sec, headline metrics, and
-//!   the measured NoC active-set speedup) in `results/BENCH_apiary.json`.
+//!   the aggregate (wall time, simulated cycles/sec and headline metrics)
+//!   in `results/BENCH_apiary.json`.
 
 use apiary_bench::harness;
 use apiary_bench::report::{round3, Json};
 use apiary_bench::results;
-use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
 use apiary_sim::{set_clock_mode, ClockMode};
 use std::time::Instant;
-
-/// Measures the NoC active-set scheduling speedup: the same sparse workload
-/// (a few busy nodes on a mostly idle 8x8 mesh — the common case for a
-/// kernel driving a handful of tiles) with the optimisation off, then on.
-/// Stats must match exactly; only wall time may differ.
-fn bench_active_set() -> Json {
-    let run = |active: bool| {
-        let mut noc = Noc::new(NocConfig::soft(8, 8));
-        noc.set_active_set(active);
-        let t0 = Instant::now();
-        for round in 0..3_000u64 {
-            // Two hotspot pairs keep a trickle in flight; 62 nodes idle.
-            for &(s, d) in &[(0u16, 9u16), (54u16, 63u16)] {
-                if round % 8 == 0 {
-                    let _ = noc.try_inject(
-                        NodeId(s),
-                        Message::new(NodeId(s), NodeId(d), TrafficClass::Request, vec![0; 64]),
-                    );
-                }
-            }
-            noc.step();
-            for n in [9u16, 63u16] {
-                noc.drain_eject(NodeId(n));
-            }
-        }
-        noc.run_until_quiescent(100_000);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let st = noc.stats().clone();
-        (
-            wall_ms,
-            (
-                st.delivered,
-                st.flit_hops,
-                st.latency.p50(),
-                st.latency.p99(),
-            ),
-        )
-    };
-    let (dense_ms, dense_stats) = run(false);
-    let (active_ms, active_stats) = run(true);
-    assert_eq!(
-        dense_stats, active_stats,
-        "active-set scheduling changed simulation results"
-    );
-    Json::obj()
-        .set("workload", "8x8 soft mesh, 2 hotspot pairs, 3000 cycles")
-        .set("dense_ms", round3(dense_ms))
-        .set("active_set_ms", round3(active_ms))
-        .set("speedup", round3(dense_ms / active_ms.max(1e-9)))
-        .set("stats_identical", true)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -177,8 +125,6 @@ fn main() {
         results::write_report_or_exit(r);
     }
 
-    let noc_active_set = bench_active_set();
-
     let total_sim_cycles: u64 = reports.iter().map(|r| r.sim_cycles).sum();
     let cycles_per_sec = total_sim_cycles as f64 / (suite_wall_ms / 1000.0).max(1e-9);
 
@@ -248,7 +194,6 @@ fn main() {
         .set("suite_wall_ms", round3(suite_wall_ms))
         .set("total_sim_cycles", total_sim_cycles)
         .set("sim_cycles_per_sec", round3(cycles_per_sec))
-        .set("noc_active_set", noc_active_set)
         .set("experiments", Json::Arr(experiments));
     if let Some(cc) = clock_check {
         bench = bench.set("event_vs_dense", cc);

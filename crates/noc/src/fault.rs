@@ -15,10 +15,10 @@
 //! | transient link down| flits crossing the link are corrupted until it heals |
 //! | permanent link down| as transient, forever; routing detours around it |
 //! | router stall       | the router allocates no flits for N cycles       |
-//! | flit corruption    | one link traversal flips the flit checksum       |
+//! | flit corruption    | one link traversal sets the flit's corrupt bit   |
 //!
-//! Corruption is *detected* at the ejecting node via the flit checksum and
-//! the packet is dropped and counted — never silently delivered — modelling
+//! Corruption is *detected* at the ejecting node via the flit's corrupt bit
+//! and the packet is dropped and counted — never silently delivered — modelling
 //! CRC-protected links with drop-on-error semantics.
 
 use crate::topology::{Direction, Mesh, NodeId};
@@ -168,7 +168,7 @@ impl FaultPlane {
     }
 
     /// Produces this cycle's events: due scheduled events plus random
-    /// draws. Called by `Noc::tick` exactly once per cycle.
+    /// draws. Called by `Noc::step` exactly once per cycle.
     pub(crate) fn step(&mut self, now: Cycle, mesh: &Mesh) -> Vec<FaultEvent> {
         let mut events = Vec::new();
         while let Some((at, ev)) = self.scheduled.get(self.next_scheduled) {

@@ -24,12 +24,11 @@ pub mod config;
 pub mod fault;
 pub mod network;
 pub mod packet;
-pub mod router;
 pub mod topology;
 
 pub use apiary_sim::Payload;
 pub use config::NocConfig;
 pub use fault::{FaultEvent, FaultPlane, FaultPlaneConfig, FaultPlaneStats};
-pub use network::{InjectError, Noc, NocStats};
+pub use network::{InjectError, Noc, NocInvariantError, NocStats};
 pub use packet::{Delivered, Message, PacketId, TrafficClass};
 pub use topology::{Coord, Direction, NodeId, Port};

@@ -1,12 +1,13 @@
 //! The NoC engine: wiring, cycle advancement, switching, injection and
-//! ejection.
+//! ejection. All state is flat, each piece in exactly one place: a packet
+//! slab, 8-byte flit handles, ring FIFOs per (node, port, VC), a timing
+//! wheel for links and NIC rings of slab slots.
 
 use crate::config::NocConfig;
 use crate::fault::{FaultEvent, FaultPlane};
-use crate::packet::{packetize, Delivered, Flit, FlitKind, Message, PacketId};
-use crate::router::{LockOwner, Router, PORTS};
+use crate::packet::{Delivered, Message, PacketId};
 use crate::topology::{Direction, Mesh, NodeId, Port};
-use apiary_sim::{Cycle, FxHashMap, FxHashSet, Histogram, Schedulable, Wakeup};
+use apiary_sim::{Cycle, Histogram, Schedulable, Wakeup};
 use std::collections::VecDeque;
 
 /// Why an injection was refused.
@@ -35,6 +36,36 @@ impl core::fmt::Display for InjectError {
 
 impl std::error::Error for InjectError {}
 
+/// A broken internal invariant, found by [`Noc::check_invariants`]. FIFOs
+/// are named `(node, port, vc)` and links `(node, dir, vc)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NocInvariantError {
+    /// `injected` differs from delivered + dropped + pending, as
+    /// `(injected, accounted)`.
+    Conservation(u64, u64),
+    /// A slab slot is both free and live, neither, or free twice.
+    SlabCover(usize),
+    /// A flit handle or lock names a slot that holds no live packet on its
+    /// VC.
+    DanglingSlot(u32),
+    /// A FIFO holds more than `vc_buffer` flits.
+    FifoOverflow(NodeId, usize, usize),
+    /// A `head_mask` bit disagrees with its FIFO's emptiness.
+    HeadMask(NodeId, usize, usize),
+    /// A link's in-flight count differs from its flits on the wheel.
+    InFlight(NodeId, Direction, usize),
+    /// Downstream occupancy plus in-flight flits exceed `vc_buffer`.
+    CreditOverrun(NodeId, Direction, usize),
+}
+
+impl core::fmt::Display for NocInvariantError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "NoC invariant broken: {self:?}")
+    }
+}
+
+impl std::error::Error for NocInvariantError {}
+
 /// Aggregate network statistics.
 #[derive(Debug, Clone, Default)]
 pub struct NocStats {
@@ -52,7 +83,7 @@ pub struct NocStats {
     pub flits_ejected: u64,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Flits whose checksum failed verification at the ejecting node.
+    /// Flits that arrived damaged at the ejecting node.
     pub corrupted_flits: u64,
     /// Packets dropped because at least one of their flits arrived corrupt.
     pub dropped_corrupt: u64,
@@ -84,15 +115,10 @@ impl NocStats {
     }
 }
 
-/// One switch decision: move the head flit of `(node, in_port, vc)` to
-/// `out_port`.
+/// One switch decision `(node, in_port, vc, out_port)`: move the head flit
+/// of input FIFO `(node, in_port, vc)` to `out_port`.
 #[derive(Debug, Clone, Copy)]
-struct Move {
-    node: usize,
-    in_port: usize,
-    vc: usize,
-    out_port: usize,
-}
+struct Move(usize, usize, usize, usize);
 
 pub(crate) const DIRS: [Direction; 4] = [
     Direction::North,
@@ -102,11 +128,163 @@ pub(crate) const DIRS: [Direction; 4] = [
 ];
 
 fn dir_index(d: Direction) -> usize {
-    match d {
-        Direction::North => 0,
-        Direction::South => 1,
-        Direction::East => 2,
-        Direction::West => 3,
+    Port::Dir(d).index() - 1
+}
+
+/// Ports per router: the local port plus four mesh links.
+const PORTS: usize = 5;
+/// Index of the local (tile) port; link ports are `1 + dir_index`.
+const LOCAL: usize = 0;
+/// `lock_in` sentinel for "no lock held".
+const NO_LOCK: u8 = u8::MAX;
+/// Most VCs the `head_mask` bitset supports (`5 * 8 = 40` mask bits).
+const MAX_VCS: usize = 8;
+/// Input-port index a flit arrives on after crossing a link in `DIRS[di]`:
+/// `Port::Dir(DIRS[di].opposite()).index()`.
+const OPP_PORT: [usize; 4] = [2, 1, 4, 3];
+/// Flit-handle bit marking a flit damaged in transit.
+const CORRUPT: u32 = 1 << 31;
+
+/// Marker in [`Noc::routes`] for "no live path".
+const UNREACHABLE: u8 = u8::MAX;
+
+/// Cycles without any flit movement (while packets are in flight) after
+/// which the no-progress valve purges the network. Detour routing after a
+/// permanent link death is not provably deadlock-free, so this valve bounds
+/// the damage: stuck packets are dropped and counted instead of hanging the
+/// simulation. Fault-free XY routing never triggers it.
+const DEADLOCK_WINDOW: u64 = 4096;
+
+/// One flit: its packet's slab slot and its sequence number within the
+/// packet. Head and tail follow from `seq` and the packet's `nflits`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Flit {
+    slot: u32,
+    /// Sequence number; bit 31 is the corrupt flag.
+    seq: u32,
+}
+
+impl Flit {
+    /// Position within the packet, without the corrupt flag.
+    fn index(self) -> u32 {
+        self.seq & !CORRUPT
+    }
+
+    fn is_head(self) -> bool {
+        self.index() == 0
+    }
+
+    /// Marks the flit as damaged in transit. Idempotent: crossing several
+    /// faulty links stays detectable.
+    fn corrupt(&mut self) {
+        self.seq |= CORRUPT;
+    }
+
+    fn is_corrupt(self) -> bool {
+        self.seq & CORRUPT != 0
+    }
+}
+
+/// A packet in the network, from injection until its tail is ejected or it
+/// is purged.
+#[derive(Debug)]
+struct Packet {
+    /// The [`PacketId`] handed out at injection; fault paths purge in this
+    /// order.
+    id: u64,
+    /// `None` exactly when the slot is free.
+    msg: Option<Message>,
+    injected_at: Cycle,
+    nflits: u32,
+    dst: u16,
+    vc: u8,
+    /// A flit of this packet arrived corrupt: drop it when the tail lands.
+    poisoned: bool,
+}
+
+/// A flit crossing link `link` (`node * 4 + dir`) on virtual channel `vc`.
+#[derive(Debug, Clone, Copy)]
+struct Transit {
+    flit: Flit,
+    link: u32,
+    vc: u8,
+}
+
+/// Fixed-capacity FIFOs in one flat buffer: queue `q` owns
+/// `buf[q * cap .. (q + 1) * cap]` as a ring of `len[q]` entries starting at
+/// `start[q]`.
+#[derive(Debug)]
+struct Rings<T> {
+    buf: Vec<T>,
+    start: Vec<u16>,
+    len: Vec<u16>,
+    cap: usize,
+}
+
+impl<T: Copy + Default> Rings<T> {
+    fn new(queues: usize, cap: usize) -> Rings<T> {
+        assert!(cap <= u16::MAX as usize, "ring capacity must fit u16");
+        Rings {
+            buf: vec![T::default(); queues * cap],
+            start: vec![0; queues],
+            len: vec![0; queues],
+            cap,
+        }
+    }
+
+    fn queues(&self) -> usize {
+        self.len.len()
+    }
+
+    fn len(&self, q: usize) -> usize {
+        self.len[q] as usize
+    }
+
+    fn slot(&self, q: usize, k: usize) -> usize {
+        let i = self.start[q] as usize + k;
+        q * self.cap + if i >= self.cap { i - self.cap } else { i }
+    }
+
+    /// The oldest entry; the queue must be non-empty.
+    fn front(&self, q: usize) -> T {
+        debug_assert!(self.len[q] > 0, "front of an empty ring");
+        self.buf[q * self.cap + self.start[q] as usize]
+    }
+
+    fn push(&mut self, q: usize, v: T) {
+        assert!(self.len(q) < self.cap, "ring overflow");
+        let i = self.slot(q, self.len(q));
+        self.buf[i] = v;
+        self.len[q] += 1;
+    }
+
+    fn pop(&mut self, q: usize) -> T {
+        let v = self.front(q);
+        let s = self.start[q] as usize + 1;
+        self.start[q] = if s == self.cap { 0 } else { s as u16 };
+        self.len[q] -= 1;
+        v
+    }
+
+    fn iter(&self, q: usize) -> impl Iterator<Item = T> + '_ {
+        (0..self.len(q)).map(move |k| self.buf[self.slot(q, k)])
+    }
+
+    /// Keeps the entries `keep` accepts, in order. Returns whether any
+    /// entry was removed.
+    fn retain(&mut self, q: usize, mut keep: impl FnMut(T) -> bool) -> bool {
+        let len = self.len(q);
+        let mut kept = 0;
+        for k in 0..len {
+            let v = self.buf[self.slot(q, k)];
+            if keep(v) {
+                let at = self.slot(q, kept);
+                self.buf[at] = v;
+                kept += 1;
+            }
+        }
+        self.len[q] = kept as u16;
+        kept != len
     }
 }
 
@@ -125,30 +303,49 @@ fn dir_index(d: Direction) -> usize {
 /// }
 /// let got = noc.poll_eject(NodeId(15)).expect("delivered");
 /// assert_eq!(got.msg.payload, vec![1, 2, 3]);
+/// assert_eq!(noc.check_invariants(), Ok(()));
 /// ```
 #[derive(Debug)]
 pub struct Noc {
     cfg: NocConfig,
     mesh: Mesh,
     now: Cycle,
-    routers: Vec<Router>,
-    /// `links[node][dir]`: flits in flight toward `neighbor(node, dir)`,
-    /// as (arrival cycle, flit) in FIFO order.
-    links: Vec<[VecDeque<(Cycle, Flit)>; 4]>,
-    /// Injection queues: `nic[node][vc]` holds packetised messages.
-    nic: Vec<Vec<VecDeque<VecDeque<Flit>>>>,
-    /// Inject timestamp per in-flight packet.
-    inject_time: FxHashMap<u64, Cycle>,
-    /// Head-flit messages awaiting their tail at the destination.
-    reassembly: FxHashMap<u64, Box<Message>>,
+    /// Every packet injected and not yet delivered or dropped.
+    slab: Vec<Packet>,
+    /// Free slots of `slab`.
+    free: Vec<u32>,
+    /// Input VC FIFOs, queue `(node * PORTS + port) * vcs + vc`.
+    fifos: Rings<Flit>,
+    /// Per-node bitset over `(port << 3) | vc` of non-empty input FIFOs.
+    head_mask: Vec<u64>,
+    /// Flits on links, bucketed by arrival cycle modulo the wheel length.
+    wheel: Vec<Vec<Transit>>,
+    /// Flits in flight per `(node * 4 + dir) * vcs + vc` — the link half of
+    /// the credit computation.
+    link_vc: Vec<u16>,
+    /// Injection queues of slab slots, queue `node * vcs + vc`.
+    nic: Rings<u32>,
+    /// Flits of each NIC queue's front packet already streamed.
+    nic_sent: Vec<u32>,
+    /// Wormhole locks, indexed like `fifos` over *output* ports: the input
+    /// port owning the output VC, or `NO_LOCK`.
+    lock_in: Vec<u8>,
+    /// The slab slot of each held lock's owner, so fault handling can
+    /// release locks whose owner was dropped mid-stream.
+    lock_slot: Vec<u32>,
+    /// Round-robin pointer per `node * PORTS + out_port`: the input port
+    /// granted last.
+    rr: Vec<u8>,
     /// Delivered messages awaiting pickup, per node.
     eject_q: Vec<VecDeque<Delivered>>,
     /// Total messages across all eject queues — lets the event clock ask
     /// "does any tile have mail?" without scanning every node.
     rx_pending: usize,
     next_packet: u64,
-    in_flight: usize,
     stats: NocStats,
+    /// Injections refused as unreachable: counted in `dropped_unreachable`
+    /// but never injected, so conservation excludes them.
+    refused_unreachable: u64,
     /// Flits sent per outgoing link, indexed `[node][dir]` — the raw data
     /// behind [`Noc::link_utilization`].
     link_flits: Vec<[u64; 4]>,
@@ -165,81 +362,18 @@ pub struct Noc {
     /// Router stalls: the cycle (exclusive) until which node `i` allocates
     /// no flits.
     stall_until: Vec<u64>,
-    /// Packets detected corrupt at the destination, awaiting their tail so
-    /// the whole packet can be dropped.
-    rx_poisoned: FxHashSet<u64>,
     /// Optional chaos plane driving random fault injection.
     fault_plane: Option<FaultPlane>,
     /// `stats.cycles` value at which a flit last moved anywhere; feeds the
     /// no-progress valve that guarantees injected faults never deadlock the
     /// network.
     last_progress: u64,
-    /// Active-set scheduling: when true (the default) the per-cycle phases
-    /// skip nodes with no buffered work. A node whose router FIFOs, incoming
-    /// links and NIC are all empty cannot produce a move, an arrival or an
-    /// injection, so skipping it is exactly behaviour-preserving; the toggle
-    /// exists so the speedup can be measured against the dense scan.
-    active_set: bool,
-    /// Flits buffered in each node's router input FIFOs (all ports, VCs).
-    router_occ: Vec<usize>,
-    /// Flits in flight on each node's outgoing links (all four directions).
-    link_occ: Vec<usize>,
-    /// Packets queued in each node's NIC (all VCs).
-    nic_occ: Vec<usize>,
-    // ------------------------------------------------------------------
-    // Flat shadow state for the switch-allocation fast path. The router
-    // FIFOs above stay the source of truth; these mirrors are maintained
-    // at every push/pop so the per-cycle allocator reads only small,
-    // cache-resident arrays instead of chasing VecDeque heads. Profiling
-    // put `phase_allocate` at ~73% of NoC time before this.
-    // ------------------------------------------------------------------
     /// Per-node neighbour table, `nbr[node * 4 + dir]`, `u16::MAX` at mesh
     /// edges. Mesh geometry is static, so this never changes.
     nbr: Vec<u16>,
-    /// Head-of-FIFO summary, `heads[(node * 5 + port) * vcs + vc]`: packed
-    /// presence/head-flit flags and destination (see `H_PRESENT`). The
-    /// arrays are sized exactly (stride `vcs`, not a power of two) so the
-    /// whole shadow state stays L1-resident.
-    heads: Vec<u16>,
-    /// Per-node bitset over `(port << 3) | vc` of non-empty input FIFOs.
-    head_mask: Vec<u64>,
-    /// Input FIFO depths, same indexing as `heads` — O(1) credit checks.
-    fifo_len: Vec<u8>,
-    /// In-flight flits per `(node, dir, vc)`, `[(node * 4 + dir) * vcs + vc]`
-    /// — the link half of the credit computation.
-    link_vc: Vec<u8>,
-    /// Wormhole lock shadow, same indexing as `heads` over *output* ports:
-    /// the owning input port, or `NO_LOCK`.
-    lock_shadow: Vec<u8>,
-    /// Round-robin pointer shadow, `[node * 5 + out_port]`.
-    rr_shadow: Vec<u8>,
     /// Reused per-step move list (avoids a per-cycle allocation).
     moves_buf: Vec<Move>,
 }
-
-/// `heads` encoding: entry is valid (FIFO non-empty).
-const H_PRESENT: u16 = 1 << 15;
-/// `heads` encoding: the front flit is a head flit.
-const H_HEADFLIT: u16 = 1 << 14;
-/// `heads` encoding: destination node id (14 bits).
-const H_DST: u16 = (1 << 14) - 1;
-/// `lock_shadow` sentinel for "no lock held".
-const NO_LOCK: u8 = u8::MAX;
-/// Most VCs the shadow bitsets support (`5 * 8 = 40` mask bits).
-const MAX_VCS: usize = 8;
-/// Input-port index a flit arrives on after crossing a link in `DIRS[di]`:
-/// `Port::Dir(DIRS[di].opposite()).index()`.
-const OPP_PORT: [usize; 4] = [2, 1, 4, 3];
-
-/// Marker in [`Noc::routes`] for "no live path".
-const UNREACHABLE: u8 = u8::MAX;
-
-/// Cycles without any flit movement (while packets are in flight) after
-/// which the no-progress valve purges the network. Detour routing after a
-/// permanent link death is not provably deadlock-free, so this valve bounds
-/// the damage: stuck packets are dropped and counted instead of hanging the
-/// simulation. Fault-free XY routing never triggers it.
-const DEADLOCK_WINDOW: u64 = 4096;
 
 impl Noc {
     /// Builds a NoC from a validated configuration.
@@ -247,14 +381,10 @@ impl Noc {
         cfg.validate();
         assert!(
             cfg.vcs <= MAX_VCS,
-            "shadow arrays support at most {MAX_VCS} virtual channels"
+            "head_mask supports at most {MAX_VCS} virtual channels"
         );
         let mesh = Mesh::new(cfg.width, cfg.height);
         let n = mesh.nodes();
-        assert!(
-            n <= H_DST as usize + 1,
-            "node ids must fit the head encoding"
-        );
         let routes = (0..n)
             .flat_map(|src| {
                 (0..n).map(move |dst| {
@@ -273,39 +403,35 @@ impl Noc {
         Noc {
             mesh,
             now: Cycle::ZERO,
-            routers: (0..n).map(|_| Router::new(cfg.vcs)).collect(),
-            links: (0..n)
-                .map(|_| std::array::from_fn(|_| VecDeque::new()))
+            // Sized up front so a run does not grow them: reallocations in
+            // mid-run fragment the heap around callers' large buffers.
+            // A wheel slot holds at most one flit per link.
+            slab: Vec::with_capacity(n * cfg.vcs * cfg.inject_queue),
+            free: Vec::with_capacity(n * cfg.vcs * cfg.inject_queue),
+            fifos: Rings::new(n * PORTS * cfg.vcs, cfg.vc_buffer),
+            head_mask: vec![0; n],
+            wheel: (0..cfg.hop_latency + 2)
+                .map(|_| Vec::with_capacity(n * 4))
                 .collect(),
-            nic: (0..n)
-                .map(|_| (0..cfg.vcs).map(|_| VecDeque::new()).collect())
-                .collect(),
-            inject_time: FxHashMap::default(),
-            reassembly: FxHashMap::default(),
+            link_vc: vec![0; n * 4 * cfg.vcs],
+            nic: Rings::new(n * cfg.vcs, cfg.inject_queue),
+            nic_sent: vec![0; n * cfg.vcs],
+            lock_in: vec![NO_LOCK; n * PORTS * cfg.vcs],
+            lock_slot: vec![0; n * PORTS * cfg.vcs],
+            rr: vec![0; n * PORTS],
             eject_q: (0..n).map(|_| VecDeque::new()).collect(),
             rx_pending: 0,
             next_packet: 0,
-            in_flight: 0,
             stats: NocStats::default(),
+            refused_unreachable: 0,
             link_flits: (0..n).map(|_| [0; 4]).collect(),
             routes,
             dead_links: vec![[false; 4]; n],
             link_down_until: vec![[0; 4]; n],
             stall_until: vec![0; n],
-            rx_poisoned: FxHashSet::default(),
             fault_plane: None,
             last_progress: 0,
-            active_set: true,
-            router_occ: vec![0; n],
-            link_occ: vec![0; n],
-            nic_occ: vec![0; n],
             nbr,
-            heads: vec![0; n * PORTS * cfg.vcs],
-            head_mask: vec![0; n],
-            fifo_len: vec![0; n * PORTS * cfg.vcs],
-            link_vc: vec![0; n * 4 * cfg.vcs],
-            lock_shadow: vec![NO_LOCK; n * PORTS * cfg.vcs],
-            rr_shadow: vec![0; n * PORTS],
             moves_buf: Vec::new(),
             cfg,
         }
@@ -328,7 +454,7 @@ impl Noc {
 
     /// Messages injected but not yet delivered.
     pub fn pending(&self) -> usize {
-        self.in_flight
+        self.slab.len() - self.free.len()
     }
 
     /// Statistics so far.
@@ -338,7 +464,7 @@ impl Noc {
 
     /// Free message slots in `node`'s injection queue for `class`.
     pub fn inject_space(&self, node: NodeId, class: crate::packet::TrafficClass) -> usize {
-        self.cfg.inject_queue - self.nic[node.index()][class.vc()].len()
+        self.cfg.inject_queue - self.nic.len(node.index() * self.cfg.vcs + class.vc())
     }
 
     /// Offers a message for injection at `from`.
@@ -360,22 +486,41 @@ impl Noc {
         }
         if self.routes[from.index() * self.mesh.nodes() + msg.dst.index()] == UNREACHABLE {
             self.stats.dropped_unreachable += 1;
+            self.refused_unreachable += 1;
             return Err(InjectError::Unreachable);
         }
         let vc = msg.class.vc();
-        if self.nic[from.index()][vc].len() >= self.cfg.inject_queue {
+        let nq = from.index() * self.cfg.vcs + vc;
+        if self.nic.len(nq) >= self.cfg.inject_queue {
             self.stats.rejected += 1;
             return Err(InjectError::QueueFull);
         }
-        let pid = PacketId(self.next_packet);
+        let nflits = msg.flits(self.cfg.flit_bytes, self.cfg.header_bytes);
+        assert!(nflits < CORRUPT as usize, "too many flits for a handle");
+        let id = self.next_packet;
         self.next_packet += 1;
-        let flits = packetize(msg, pid, self.cfg.flit_bytes, self.cfg.header_bytes);
-        self.nic[from.index()][vc].push_back(flits.into());
-        self.nic_occ[from.index()] += 1;
-        self.inject_time.insert(pid.0, self.now);
-        self.in_flight += 1;
+        let packet = Packet {
+            id,
+            injected_at: self.now,
+            nflits: nflits as u32,
+            dst: msg.dst.0,
+            vc: vc as u8,
+            poisoned: false,
+            msg: Some(msg),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = packet;
+                slot
+            }
+            None => {
+                self.slab.push(packet);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.nic.push(nq, slot);
         self.stats.injected += 1;
-        Ok(pid)
+        Ok(PacketId(id))
     }
 
     /// Takes one delivered message at `node`, if any.
@@ -390,13 +535,6 @@ impl Noc {
     /// Delivered messages waiting at `node`, without taking any.
     pub fn eject_pending(&self, node: NodeId) -> usize {
         self.eject_q[node.index()].len()
-    }
-
-    /// Enables or disables active-set scheduling. On by default; results
-    /// are bit-identical either way (quiescent nodes can contribute no
-    /// work) — the switch exists so the speedup can be measured.
-    pub fn set_active_set(&mut self, on: bool) {
-        self.active_set = on;
     }
 
     /// Takes all delivered messages currently waiting at `node`.
@@ -453,31 +591,100 @@ impl Noc {
         out
     }
 
-    /// Refreshes the head summary for input `(node, port, vc)` after a
-    /// FIFO mutation.
-    #[inline]
-    fn refresh_head(&mut self, node: usize, port: usize, vc: usize) {
-        let vcs = self.cfg.vcs;
-        let idx = (node * PORTS + port) * vcs + vc;
-        let entry = match self.routers[node].inputs[port].fifos[vc].front() {
-            Some(f) => {
-                H_PRESENT
-                    | if matches!(f.kind, FlitKind::Head(_)) {
-                        H_HEADFLIT
-                    } else {
-                        0
-                    }
-                    | f.dst.0
-            }
-            None => 0,
-        };
-        self.heads[idx] = entry;
-        let bit = 1u64 << (port << 3 | vc);
-        if entry == 0 {
-            self.head_mask[node] &= !bit;
-        } else {
-            self.head_mask[node] |= bit;
+    /// Checks the network's internal invariants: conservation of messages,
+    /// slab coverage by live and free slots, FIFO bounds, credit and
+    /// in-flight accounting, wormhole locks and `head_mask`.
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant found.
+    pub fn check_invariants(&self) -> Result<(), NocInvariantError> {
+        use NocInvariantError as E;
+        let st = &self.stats;
+        let accounted =
+            st.delivered + st.dropped() - self.refused_unreachable + self.pending() as u64;
+        if st.injected != accounted {
+            return Err(E::Conservation(st.injected, accounted));
         }
+        let mut free = vec![false; self.slab.len()];
+        for &slot in &self.free {
+            let s = slot as usize;
+            if s >= free.len() || free[s] || self.slab[s].msg.is_some() {
+                return Err(E::SlabCover(s));
+            }
+            free[s] = true;
+        }
+        if let Some(s) = (0..free.len()).find(|&s| !free[s] && self.slab[s].msg.is_none()) {
+            return Err(E::SlabCover(s));
+        }
+        let dangling = |slot: u32, vc: usize| {
+            let s = slot as usize;
+            (s >= free.len() || free[s] || self.slab[s].vc as usize != vc).then_some(slot)
+        };
+        let vcs = self.cfg.vcs;
+        for q in 0..self.fifos.queues() {
+            let (node, port, vc) = (q / (PORTS * vcs), q / vcs % PORTS, q % vcs);
+            let id = NodeId(node as u16);
+            let len = self.fifos.len(q);
+            if len > self.cfg.vc_buffer {
+                return Err(E::FifoOverflow(id, port, vc));
+            }
+            if (self.head_mask[node] >> (port << 3 | vc) & 1 != 0) != (len > 0) {
+                return Err(E::HeadMask(id, port, vc));
+            }
+            let lock = (self.lock_in[q] != NO_LOCK).then_some(self.lock_slot[q]);
+            let flits = self.fifos.iter(q).map(|f| f.slot);
+            if let Some(slot) = flits.chain(lock).find_map(|s| dangling(s, vc)) {
+                return Err(E::DanglingSlot(slot));
+            }
+        }
+        let mut counted = vec![0usize; self.link_vc.len()];
+        for t in self.wheel.iter().flatten() {
+            if let Some(slot) = dangling(t.flit.slot, t.vc as usize) {
+                return Err(E::DanglingSlot(slot));
+            }
+            counted[t.link as usize * vcs + t.vc as usize] += 1;
+        }
+        for (i, &inflight) in counted.iter().enumerate() {
+            let (link, vc) = (i / vcs, i % vcs);
+            let (id, dir) = (NodeId((link / 4) as u16), DIRS[link % 4]);
+            if self.link_vc[i] as usize != inflight {
+                return Err(E::InFlight(id, dir, vc));
+            }
+            let nb = self.nbr[link] as usize;
+            if nb != u16::MAX as usize
+                && self.fifos.len((nb * PORTS + OPP_PORT[link % 4]) * vcs + vc) + inflight
+                    > self.cfg.vc_buffer
+            {
+                return Err(E::CreditOverrun(id, dir, vc));
+            }
+        }
+        for q in 0..self.nic.queues() {
+            if let Some(slot) = self.nic.iter(q).find_map(|s| dangling(s, q % vcs)) {
+                return Err(E::DanglingSlot(slot));
+            }
+        }
+        Ok(())
+    }
+
+    /// Pushes `flit` onto input FIFO `(node, port, vc)`.
+    #[inline]
+    fn fifo_push(&mut self, node: usize, port: usize, vc: usize, flit: Flit) {
+        // Credit accounting guarantees the space; `Rings::push` checks it.
+        self.fifos
+            .push((node * PORTS + port) * self.cfg.vcs + vc, flit);
+        self.head_mask[node] |= 1 << (port << 3 | vc);
+    }
+
+    /// Pops the front flit of input FIFO `(node, port, vc)`.
+    #[inline]
+    fn fifo_pop(&mut self, node: usize, port: usize, vc: usize) -> Flit {
+        let q = (node * PORTS + port) * self.cfg.vcs + vc;
+        let flit = self.fifos.pop(q);
+        if self.fifos.len(q) == 0 {
+            self.head_mask[node] &= !(1 << (port << 3 | vc));
+        }
+        flit
     }
 
     // ------------------------------------------------------------------
@@ -485,7 +692,7 @@ impl Noc {
     // ------------------------------------------------------------------
 
     /// Installs a chaos plane; its schedule and random draws are applied
-    /// at the start of every [`Noc::tick`].
+    /// at the start of every [`Noc::step`].
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
         self.fault_plane = Some(plane);
     }
@@ -500,6 +707,16 @@ impl Noc {
         self.mesh.contains(from)
             && self.mesh.contains(to)
             && self.routes[from.index() * self.mesh.nodes() + to.index()] != UNREACHABLE
+    }
+
+    /// Corrupts every flit currently crossing link `node -> DIRS[di]`.
+    fn corrupt_link(&mut self, node: usize, di: usize) {
+        let link = (node * 4 + di) as u32;
+        for t in self.wheel.iter_mut().flatten() {
+            if t.link == link {
+                t.flit.corrupt();
+            }
+        }
     }
 
     /// Permanently kills the outgoing link `node -> dir`: flits currently
@@ -517,9 +734,7 @@ impl Noc {
         }
         self.dead_links[node.index()][di] = true;
         self.stats.link_faults += 1;
-        for (_, flit) in self.links[node.index()][di].iter_mut() {
-            flit.corrupt();
-        }
+        self.corrupt_link(node.index(), di);
         let old = std::mem::take(&mut self.routes);
         self.recompute_routes();
         self.flush_rerouted(&old);
@@ -539,9 +754,7 @@ impl Noc {
         let slot = &mut self.link_down_until[node.index()][di];
         *slot = (*slot).max(until);
         self.stats.link_faults += 1;
-        for (_, flit) in self.links[node.index()][di].iter_mut() {
-            flit.corrupt();
-        }
+        self.corrupt_link(node.index(), di);
         true
     }
 
@@ -643,55 +856,45 @@ impl Noc {
     /// NIC packets at sources whose route changed.
     fn flush_rerouted(&mut self, old_routes: &[u8]) {
         let n = self.mesh.nodes();
-        // (packet, destination now unreachable?) for every affected flit.
-        let mut doomed: Vec<(u64, bool)> = Vec::new();
-        let note = |routes: &[u8], at: usize, flit: &Flit, doomed: &mut Vec<(u64, bool)>| {
-            let new = routes[at * n + flit.dst.index()];
-            if new != old_routes[at * n + flit.dst.index()] {
-                doomed.push((flit.packet.0, new == UNREACHABLE));
+        let vcs = self.cfg.vcs;
+        // (packet id, destination now unreachable?, slot) per affected flit.
+        let mut doomed: Vec<(u64, bool, u32)> = Vec::new();
+        let note = |at: usize, slot: u32, doomed: &mut Vec<(u64, bool, u32)>| {
+            let p = &self.slab[slot as usize];
+            let i = at * n + p.dst as usize;
+            if self.routes[i] != old_routes[i] {
+                doomed.push((p.id, self.routes[i] == UNREACHABLE, slot));
             }
         };
-        for (node, router) in self.routers.iter().enumerate() {
-            for port in &router.inputs {
-                for fifo in &port.fifos {
-                    for flit in fifo {
-                        note(&self.routes, node, flit, &mut doomed);
+        for q in 0..self.fifos.queues() {
+            for f in self.fifos.iter(q) {
+                note(q / (PORTS * vcs), f.slot, &mut doomed);
+            }
+        }
+        for t in self.wheel.iter().flatten() {
+            // The flit will route next at the receiving neighbour.
+            note(self.nbr[t.link as usize] as usize, t.flit.slot, &mut doomed);
+        }
+        for q in 0..self.nic.queues() {
+            let node = q / vcs;
+            for (k, slot) in self.nic.iter(q).enumerate() {
+                // A front packet that has begun streaming is split by any
+                // route change. Unstarted packets survive any reroute
+                // except losing their destination entirely.
+                if k == 0 && self.nic_sent[q] > 0 {
+                    note(node, slot, &mut doomed);
+                } else {
+                    let p = &self.slab[slot as usize];
+                    if self.routes[node * n + p.dst as usize] == UNREACHABLE {
+                        doomed.push((p.id, true, slot));
                     }
                 }
             }
         }
-        for (node, dirs) in self.links.iter().enumerate() {
-            for (di, link) in dirs.iter().enumerate() {
-                let Some(nb) = self.mesh.neighbor(NodeId(node as u16), DIRS[di]) else {
-                    continue;
-                };
-                for (_, flit) in link {
-                    // The flit will route next at the receiving neighbour.
-                    note(&self.routes, nb.index(), flit, &mut doomed);
-                }
-            }
-        }
-        for (node, vcs) in self.nic.iter().enumerate() {
-            for q in vcs {
-                for pkt in q {
-                    let Some(first) = pkt.front() else { continue };
-                    // A sub-queue whose first flit is no longer the head has
-                    // already started streaming; a route change splits it.
-                    // Unstarted packets survive any reroute except losing
-                    // their destination entirely.
-                    let started = !matches!(first.kind, FlitKind::Head(_));
-                    if started {
-                        note(&self.routes, node, first, &mut doomed);
-                    } else if self.routes[node * n + first.dst.index()] == UNREACHABLE {
-                        doomed.push((first.packet.0, true));
-                    }
-                }
-            }
-        }
-        doomed.sort_unstable_by_key(|&(pid, unreachable)| (pid, !unreachable));
-        doomed.dedup_by_key(|&mut (pid, _)| pid);
-        for (pid, unreachable) in doomed {
-            self.purge_packet(pid);
+        doomed.sort_unstable_by_key(|&(id, unreachable, _)| (id, !unreachable));
+        doomed.dedup_by_key(|&mut (id, _, _)| id);
+        for (_, unreachable, slot) in doomed {
+            self.purge_packet(slot);
             if unreachable {
                 self.stats.dropped_unreachable += 1;
             } else {
@@ -700,120 +903,66 @@ impl Noc {
         }
     }
 
-    /// Removes every trace of packet `pid` from the network: buffered
-    /// flits, wormhole locks it owns, NIC sub-queues, reassembly state and
-    /// the in-flight count. Counters are the caller's responsibility.
-    fn purge_packet(&mut self, pid: u64) {
-        for router in &mut self.routers {
-            for port in &mut router.inputs {
-                for fifo in &mut port.fifos {
-                    fifo.retain(|f| f.packet.0 != pid);
+    /// Removes every trace of the packet in `slot` from the network:
+    /// buffered flits, flits on links, wormhole locks it owns and its NIC
+    /// entry, then frees the slot. Counters are the caller's
+    /// responsibility.
+    fn purge_packet(&mut self, slot: u32) {
+        let vcs = self.cfg.vcs;
+        for q in 0..self.fifos.queues() {
+            if self.fifos.retain(q, |f| f.slot != slot) && self.fifos.len(q) == 0 {
+                let (node, port, vc) = (q / (PORTS * vcs), q / vcs % PORTS, q % vcs);
+                self.head_mask[node] &= !(1 << (port << 3 | vc));
+            }
+            if self.lock_in[q] != NO_LOCK && self.lock_slot[q] == slot {
+                self.lock_in[q] = NO_LOCK;
+            }
+        }
+        for bucket in &mut self.wheel {
+            bucket.retain(|t| {
+                let keep = t.flit.slot != slot;
+                if !keep {
+                    self.link_vc[t.link as usize * vcs + t.vc as usize] -= 1;
                 }
-            }
-            for port in &mut router.out_lock {
-                for lock in port.iter_mut() {
-                    if lock.is_some_and(|o| o.packet.0 == pid) {
-                        *lock = None;
-                    }
-                }
-            }
+                keep
+            });
         }
-        for dirs in &mut self.links {
-            for link in dirs.iter_mut() {
-                link.retain(|(_, f)| f.packet.0 != pid);
+        for q in 0..self.nic.queues() {
+            if self.nic.len(q) > 0 && self.nic.front(q) == slot {
+                self.nic_sent[q] = 0;
             }
+            self.nic.retain(q, |s| s != slot);
         }
-        for vcs in &mut self.nic {
-            for q in vcs.iter_mut() {
-                q.retain(|pkt| pkt.front().is_some_and(|f| f.packet.0 != pid));
-            }
-        }
-        self.reassembly.remove(&pid);
-        self.rx_poisoned.remove(&pid);
-        if self.inject_time.remove(&pid).is_some() {
-            self.in_flight -= 1;
-        }
-        self.recount_occupancy();
+        self.free_slot(slot);
     }
 
-    /// Rebuilds the active-set occupancy counters and the allocator's flat
-    /// shadow state from scratch. Only needed after bulk removals
-    /// ([`Noc::purge_packet`]'s retains); the per-flit paths maintain
-    /// everything incrementally.
-    fn recount_occupancy(&mut self) {
-        for n in 0..self.mesh.nodes() {
-            self.router_occ[n] = self.routers[n].buffered();
-            self.link_occ[n] = self.links[n].iter().map(|l| l.len()).sum();
-            self.nic_occ[n] = self.nic[n].iter().map(|q| q.len()).sum();
-            self.head_mask[n] = 0;
-            for port in 0..PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let idx = (n * PORTS + port) * self.cfg.vcs + vc;
-                    self.fifo_len[idx] = self.routers[n].inputs[port].fifos[vc].len() as u8;
-                    self.refresh_head(n, port, vc);
-                    self.lock_shadow[idx] =
-                        self.routers[n].out_lock[port][vc].map_or(NO_LOCK, |o| o.in_port as u8);
-                }
-                self.rr_shadow[n * PORTS + port] = self.routers[n].rr[port] as u8;
-            }
-            for di in 0..4 {
-                for vc in 0..self.cfg.vcs {
-                    self.link_vc[(n * 4 + di) * self.cfg.vcs + vc] =
-                        self.links[n][di].iter().filter(|(_, f)| f.vc == vc).count() as u8;
-                }
-            }
-        }
-    }
-
-    /// All packets currently anywhere in the network, deduplicated and
-    /// sorted (deterministic).
-    fn buffered_packets(&self) -> Vec<u64> {
-        let mut pids: Vec<u64> = self
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter())
-            .flat_map(|p| p.fifos.iter())
-            .flatten()
-            .map(|f| f.packet.0)
-            .chain(
-                self.links
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .map(|(_, f)| f.packet.0),
-            )
-            .chain(
-                self.nic
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .filter_map(|pkt| pkt.front())
-                    .map(|f| f.packet.0),
-            )
-            .collect();
-        pids.sort_unstable();
-        pids.dedup();
-        pids
+    fn free_slot(&mut self, slot: u32) {
+        self.slab[slot as usize].msg = None;
+        self.free.push(slot);
     }
 
     /// The no-progress valve: if packets are in flight but nothing has
-    /// moved for [`DEADLOCK_WINDOW`] cycles, purge everything buffered.
-    /// This converts a (detour-induced) routing deadlock into bounded,
-    /// counted packet loss — an injected fault can never hang the NoC.
+    /// moved for [`DEADLOCK_WINDOW`] cycles, purge every packet, in
+    /// [`PacketId`] order. This converts a (detour-induced) routing
+    /// deadlock into bounded, counted packet loss — an injected fault can
+    /// never hang the NoC.
     fn check_progress_valve(&mut self) {
-        if self.in_flight == 0 {
+        if self.pending() == 0 {
             self.last_progress = self.stats.cycles;
             return;
         }
         if self.stats.cycles - self.last_progress <= DEADLOCK_WINDOW {
             return;
         }
-        for pid in self.buffered_packets() {
-            self.purge_packet(pid);
+        let mut live: Vec<(u64, u32)> = (0..self.slab.len() as u32)
+            .filter(|&s| self.slab[s as usize].msg.is_some())
+            .map(|s| (self.slab[s as usize].id, s))
+            .collect();
+        live.sort_unstable();
+        for (_, slot) in live {
+            self.purge_packet(slot);
             self.stats.dropped_flushed += 1;
         }
-        // Anything still "in flight" now has no flits anywhere (should not
-        // happen, but the valve must leave the network consistent).
         self.last_progress = self.stats.cycles;
     }
 
@@ -832,20 +981,16 @@ impl Noc {
                 self.apply_fault_event(ev);
             }
         }
-        self.phase_link_arrivals();
+        // This cycle's wheel slot: the flits arriving now.
+        let slot = (self.now.as_u64() % self.wheel.len() as u64) as usize;
+        self.phase_link_arrivals(slot);
         self.phase_allocate();
         let moves = std::mem::take(&mut self.moves_buf);
-        self.phase_apply(&moves, plane.as_mut());
+        self.phase_apply(&moves, plane.as_mut(), slot);
         self.moves_buf = moves;
         self.phase_inject();
         self.fault_plane = plane;
         self.check_progress_valve();
-    }
-
-    /// Advances the network by one cycle.
-    #[deprecated(note = "use `Noc::step` (or drive via `Schedulable::wake`)")]
-    pub fn tick(&mut self) {
-        self.step();
     }
 
     /// Skips ahead through provably idle cycles, up to and including
@@ -857,7 +1002,7 @@ impl Noc {
     /// the cycle actually reached — always `target` unless traffic appears
     /// (it cannot, mid-skip, but the guard keeps the contract obvious).
     pub fn skip_idle_to(&mut self, target: Cycle) -> Cycle {
-        if self.in_flight > 0 {
+        if self.pending() > 0 {
             return self.now;
         }
         match self.fault_plane.take() {
@@ -888,7 +1033,7 @@ impl Noc {
     /// empty NoC only becomes busy through [`Noc::try_inject`] — message
     /// arrival, in scheduling terms.
     pub fn next_activity(&self) -> Option<Cycle> {
-        if self.in_flight > 0 {
+        if self.pending() > 0 {
             Some(self.now + 1)
         } else {
             None
@@ -899,48 +1044,55 @@ impl Noc {
     /// `true` on quiescence.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         for _ in 0..max_cycles {
-            if self.in_flight == 0 {
+            if self.pending() == 0 {
                 return true;
             }
             self.step();
         }
-        self.in_flight == 0
+        self.pending() == 0
     }
 
-    fn phase_link_arrivals(&mut self) {
-        for node in 0..self.mesh.nodes() {
-            if self.active_set && self.link_occ[node] == 0 {
-                continue;
-            }
-            for (di, &in_port) in OPP_PORT.iter().enumerate() {
-                let nb = self.nbr[node * 4 + di] as usize;
-                if nb == u16::MAX as usize {
-                    continue;
-                }
-                while let Some(&(at, _)) = self.links[node][di].front() {
-                    if at > self.now {
-                        break;
-                    }
-                    let (_, flit) = self.links[node][di].pop_front().expect("peeked");
-                    self.link_occ[node] -= 1;
-                    let vc = flit.vc;
-                    self.link_vc[(node * 4 + di) * self.cfg.vcs + vc] -= 1;
-                    let fifo = &mut self.routers[nb].inputs[in_port].fifos[vc];
-                    debug_assert!(
-                        fifo.len() < self.cfg.vc_buffer,
-                        "credit accounting must guarantee buffer space"
-                    );
-                    let was_empty = fifo.is_empty();
-                    fifo.push_back(flit);
-                    self.fifo_len[(nb * PORTS + in_port) * self.cfg.vcs + vc] += 1;
-                    if was_empty {
-                        self.refresh_head(nb, in_port, vc);
-                    }
-                    self.router_occ[nb] += 1;
-                    self.last_progress = self.stats.cycles;
-                }
-            }
+    /// Moves this cycle's wheel slot into the downstream input FIFOs. Each
+    /// link carries at most one flit per cycle and each input FIFO is fed
+    /// by exactly one link, so the order within a slot cannot matter.
+    fn phase_link_arrivals(&mut self, slot: usize) {
+        if self.wheel[slot].is_empty() {
+            return;
         }
+        self.last_progress = self.stats.cycles;
+        let mut bucket = std::mem::take(&mut self.wheel[slot]);
+        for t in bucket.drain(..) {
+            let (link, vc) = (t.link as usize, t.vc as usize);
+            self.link_vc[link * self.cfg.vcs + vc] -= 1;
+            let nb = self.nbr[link] as usize;
+            self.fifo_push(nb, OPP_PORT[link % 4], vc, t.flit);
+        }
+        self.wheel[slot] = bucket;
+    }
+
+    /// Whether output `out_port` of `node` has a free buffer slot on `vc`
+    /// downstream: occupancy there plus flits on the link stay below
+    /// `vc_buffer`. The local port always has room.
+    #[inline]
+    fn has_credit(&self, node: usize, out_port: usize, vc: usize) -> bool {
+        if out_port == LOCAL {
+            return true;
+        }
+        let di = out_port - 1;
+        let vcs = self.cfg.vcs;
+        let nb = self.nbr[node * 4 + di] as usize;
+        let occupied = self.fifos.len((nb * PORTS + OPP_PORT[di]) * vcs + vc);
+        let inflight = self.link_vc[(node * 4 + di) * vcs + vc] as usize;
+        occupied + inflight < self.cfg.vc_buffer
+    }
+
+    /// The output port the front flit of FIFO `q` routes to at `node`, and
+    /// whether that flit is a head flit.
+    #[inline]
+    fn route_front(&self, node: usize, q: usize) -> (u8, bool) {
+        let flit = self.fifos.front(q);
+        let dst = self.slab[flit.slot as usize].dst as usize;
+        (self.routes[node * self.mesh.nodes() + dst], flit.is_head())
     }
 
     /// Switch allocation: per output port, strict priority across VCs
@@ -958,63 +1110,41 @@ impl Noc {
     fn phase_allocate(&mut self) {
         let mut moves = std::mem::take(&mut self.moves_buf);
         moves.clear();
-        let n = self.mesh.nodes();
         let vcs = self.cfg.vcs;
-        let vc_buffer = self.cfg.vc_buffer as u32;
         let now = self.now.as_u64();
         // `cand` entries are only read for `(out, vc)` pairs whose `demand`
         // bit was set this node, and setting that bit overwrites the entry —
         // so stale values from earlier nodes are never observed and the
         // buckets need no per-node clear.
         let mut cand = [[0u8; MAX_VCS]; PORTS];
-        for node in 0..n {
+        for node in 0..self.mesh.nodes() {
             // A router with no buffered flits cannot source a move: every
             // move pops an input-FIFO head. Skipping it leaves `rr` and
             // locks untouched, which is what the dense scan does too.
-            // (`head_mask == 0` iff every input FIFO is empty.)
             let mask = self.head_mask[node];
-            if mask == 0 {
+            if mask == 0 || self.stall_until[node] > now {
                 continue;
             }
-            if self.stall_until[node] > now {
-                continue;
-            }
-            let hbase = node * PORTS * vcs;
-            let rbase = node * n;
+            let qbase = node * PORTS * vcs;
             // Fast path: one buffered head means at most one candidate move,
             // so the arbitration below (bucket, vc priority, round-robin)
             // degenerates to a single eligibility check.
             if mask & (mask - 1) == 0 {
                 let bit = mask.trailing_zeros() as usize;
                 let (port, vc) = (bit >> 3, bit & 7);
-                let head = self.heads[hbase + port * vcs + vc];
-                let out = self.routes[rbase + (head & H_DST) as usize];
-                if out == UNREACHABLE {
+                let (out, head) = self.route_front(node, qbase + port * vcs + vc);
+                if out == UNREACHABLE || !self.has_credit(node, out as usize, vc) {
                     continue;
                 }
                 let out_port = out as usize;
-                if out_port != 0 {
-                    let di = out_port - 1;
-                    let nb = self.nbr[node * 4 + di] as usize;
-                    let occupied = self.fifo_len[(nb * PORTS + OPP_PORT[di]) * vcs + vc] as u32;
-                    let inflight = self.link_vc[(node * 4 + di) * vcs + vc] as u32;
-                    if occupied + inflight >= vc_buffer {
-                        continue;
-                    }
-                }
-                let lock = self.lock_shadow[hbase + out_port * vcs + vc];
+                let lock = self.lock_in[qbase + out_port * vcs + vc];
                 let eligible = if lock == NO_LOCK {
-                    head & H_HEADFLIT != 0
+                    head
                 } else {
                     lock as usize == port
                 };
                 if eligible {
-                    moves.push(Move {
-                        node,
-                        in_port: port,
-                        vc,
-                        out_port,
-                    });
+                    moves.push(Move(node, port, vc, out_port));
                 }
                 continue;
             }
@@ -1024,13 +1154,15 @@ impl Noc {
             // needed; `UNREACHABLE` heads match no output, as in the dense
             // scan where no `out_port` equals 255.
             let mut demand = [0u8; PORTS];
+            // `heads[vc]`: input ports whose front flit on `vc` is a head.
+            let mut heads = [0u8; MAX_VCS];
             let mut m = mask;
             while m != 0 {
                 let bit = m.trailing_zeros() as usize;
                 m &= m - 1;
                 let (port, vc) = (bit >> 3, bit & 7);
-                let dst = (self.heads[hbase + port * vcs + vc] & H_DST) as usize;
-                let out = self.routes[rbase + dst];
+                let (out, head) = self.route_front(node, qbase + port * vcs + vc);
+                heads[vc] |= u8::from(head) << port;
                 if out == UNREACHABLE {
                     continue;
                 }
@@ -1047,95 +1179,77 @@ impl Noc {
                 if dvc == 0 {
                     continue;
                 }
-                let rr = self.rr_shadow[node * PORTS + out_port] as usize;
-                #[allow(clippy::needless_range_loop)] // `vc` indexes heads/fifo_len/link_vc too
-                'found: for vc in 0..vcs {
-                    if dvc & (1 << vc) == 0 {
+                let rr = self.rr[node * PORTS + out_port] as usize;
+                #[allow(clippy::needless_range_loop)] // `vc` indexes the flat arrays too
+                for vc in 0..vcs {
+                    if dvc & (1 << vc) == 0 || !self.has_credit(node, out_port, vc) {
                         continue;
                     }
-                    // Credit check once per (out, vc).
-                    if out_port != 0 {
-                        let di = out_port - 1;
-                        let nb = self.nbr[node * 4 + di] as usize;
-                        let occupied = self.fifo_len[(nb * PORTS + OPP_PORT[di]) * vcs + vc] as u32;
-                        let inflight = self.link_vc[(node * 4 + di) * vcs + vc] as u32;
-                        if occupied + inflight >= vc_buffer {
-                            continue;
-                        }
+                    // A locked output VC takes only its owner; a free one
+                    // only head flits.
+                    let lock = self.lock_in[qbase + out_port * vcs + vc];
+                    let owners = if lock == NO_LOCK {
+                        heads[vc]
+                    } else {
+                        1 << lock
+                    };
+                    let eligible = cand[out_port][vc] & owners;
+                    if eligible == 0 {
+                        continue;
                     }
-                    let lock = self.lock_shadow[hbase + out_port * vcs + vc];
-                    let cbits = cand[out_port][vc];
-                    for k in 1..=PORTS {
-                        let in_port = (rr + k) % PORTS;
-                        if cbits & (1 << in_port) == 0 {
-                            continue;
-                        }
-                        let eligible = if lock == NO_LOCK {
-                            self.heads[hbase + in_port * vcs + vc] & H_HEADFLIT != 0
-                        } else {
-                            lock as usize == in_port
-                        };
-                        if !eligible {
-                            continue;
-                        }
-                        moves.push(Move {
-                            node,
-                            in_port,
-                            vc,
-                            out_port,
-                        });
-                        break 'found;
-                    }
+                    // Round-robin: the first eligible input after `rr`.
+                    let ring = (u32::from(eligible) | u32::from(eligible) << PORTS) >> (rr + 1);
+                    let in_port = (rr + 1 + ring.trailing_zeros() as usize) % PORTS;
+                    moves.push(Move(node, in_port, vc, out_port));
+                    break;
                 }
             }
         }
         self.moves_buf = moves;
     }
 
-    fn phase_apply(&mut self, moves: &[Move], mut plane: Option<&mut FaultPlane>) {
-        if !moves.is_empty() {
-            self.last_progress = self.stats.cycles;
+    /// Applies this cycle's moves; flits sent on links land `hop_latency + 1`
+    /// wheel slots after `slot`.
+    fn phase_apply(&mut self, moves: &[Move], mut plane: Option<&mut FaultPlane>, slot: usize) {
+        if moves.is_empty() {
+            return;
         }
-        for m in moves {
-            let mut flit = self.routers[m.node].inputs[m.in_port].fifos[m.vc]
-                .pop_front()
-                .expect("move references a buffered flit");
-            self.router_occ[m.node] -= 1;
-            self.fifo_len[(m.node * PORTS + m.in_port) * self.cfg.vcs + m.vc] -= 1;
-            self.refresh_head(m.node, m.in_port, m.vc);
+        self.last_progress = self.stats.cycles;
+        let vcs = self.cfg.vcs;
+        // `slot < len` and `hop_latency + 1 < len`, so one wrap suffices.
+        let arrive = slot + 1 + self.cfg.hop_latency as usize;
+        let arrive = arrive.checked_sub(self.wheel.len()).unwrap_or(arrive);
+        for &Move(node, in_port, vc, out_port) in moves {
+            let mut flit = self.fifo_pop(node, in_port, vc);
             // Wormhole lock maintenance.
-            let lock = &mut self.routers[m.node].out_lock[m.out_port][m.vc];
-            let shadow = &mut self.lock_shadow[(m.node * PORTS + m.out_port) * self.cfg.vcs + m.vc];
-            if flit.is_tail {
-                *lock = None;
-                *shadow = NO_LOCK;
-            } else if matches!(flit.kind, FlitKind::Head(_)) {
-                *lock = Some(LockOwner {
-                    in_port: m.in_port,
-                    packet: flit.packet,
-                });
-                *shadow = m.in_port as u8;
+            let li = (node * PORTS + out_port) * vcs + vc;
+            if flit.index() + 1 == self.slab[flit.slot as usize].nflits {
+                self.lock_in[li] = NO_LOCK;
+            } else if flit.is_head() {
+                self.lock_in[li] = in_port as u8;
+                self.lock_slot[li] = flit.slot;
             }
-            self.routers[m.node].rr[m.out_port] = m.in_port;
-            self.rr_shadow[m.node * PORTS + m.out_port] = m.in_port as u8;
+            self.rr[node * PORTS + out_port] = in_port as u8;
 
-            if m.out_port == Port::Local.index() {
-                self.eject(m.node, flit);
+            if out_port == LOCAL {
+                self.eject(node, flit);
             } else {
-                let di = m.out_port - 1;
+                let di = out_port - 1;
                 // One corruption roll per link traversal (fixed RNG
                 // consumption), plus deterministic corruption on downed
-                // links. `corrupt` is idempotent, so a doubly-faulted hop
-                // is still detected.
+                // links.
                 let rolled = plane.as_deref_mut().is_some_and(|p| p.corrupt_roll());
-                if rolled || self.link_is_down(m.node, di) {
+                if rolled || self.link_is_down(node, di) {
                     flit.corrupt();
                 }
-                let arrive = self.now + 1 + self.cfg.hop_latency;
-                self.link_vc[(m.node * 4 + di) * self.cfg.vcs + m.vc] += 1;
-                self.links[m.node][di].push_back((arrive, flit));
-                self.link_occ[m.node] += 1;
-                self.link_flits[m.node][di] += 1;
+                let link = node * 4 + di;
+                self.link_vc[link * vcs + vc] += 1;
+                self.wheel[arrive].push(Transit {
+                    flit,
+                    link: link as u32,
+                    vc: vc as u8,
+                });
+                self.link_flits[node][di] += 1;
                 self.stats.flit_hops += 1;
             }
         }
@@ -1143,104 +1257,54 @@ impl Noc {
 
     fn eject(&mut self, node: usize, flit: Flit) {
         self.stats.flits_ejected += 1;
-        let intact = flit.checksum_ok();
-        if !intact {
-            self.stats.corrupted_flits += 1;
-        }
-        let is_tail = flit.is_tail;
-        let pid = flit.packet;
+        let p = &mut self.slab[flit.slot as usize];
+        debug_assert_eq!(p.dst as usize, node, "misrouted flit");
         // A single damaged flit poisons the whole packet: nothing of it is
         // delivered, and the drop is accounted once the tail arrives.
-        let poisoned = !intact || self.rx_poisoned.contains(&pid.0);
-        match flit.kind {
-            FlitKind::Head(msg) => {
-                debug_assert_eq!(msg.dst.index(), node, "misrouted flit");
-                match (is_tail, poisoned) {
-                    (true, false) => self.deliver(node, pid, *msg),
-                    (true, true) => self.drop_at_rx(pid),
-                    (false, false) => {
-                        self.reassembly.insert(pid.0, msg);
-                    }
-                    (false, true) => {
-                        self.rx_poisoned.insert(pid.0);
-                    }
-                }
-            }
-            FlitKind::Body => {
-                if poisoned {
-                    self.reassembly.remove(&pid.0);
-                    if is_tail {
-                        self.rx_poisoned.remove(&pid.0);
-                        self.drop_at_rx(pid);
-                    } else {
-                        self.rx_poisoned.insert(pid.0);
-                    }
-                } else if is_tail {
-                    let msg = self
-                        .reassembly
-                        .remove(&pid.0)
-                        .expect("head always precedes tail on a VC");
-                    self.deliver(node, pid, *msg);
-                }
-            }
+        if flit.is_corrupt() {
+            self.stats.corrupted_flits += 1;
+            p.poisoned = true;
         }
-    }
-
-    /// Accounts a packet dropped at the destination for corruption.
-    fn drop_at_rx(&mut self, pid: PacketId) {
-        self.inject_time
-            .remove(&pid.0)
-            .expect("every packet has an inject timestamp");
-        self.in_flight -= 1;
-        self.stats.dropped_corrupt += 1;
-    }
-
-    fn deliver(&mut self, node: usize, pid: PacketId, msg: Message) {
-        let injected_at = self
-            .inject_time
-            .remove(&pid.0)
-            .expect("every packet has an inject timestamp");
-        let d = Delivered {
-            msg,
-            injected_at,
-            delivered_at: self.now,
-        };
-        self.stats.latency.record(d.latency());
-        self.stats.delivered += 1;
-        self.in_flight -= 1;
-        self.rx_pending += 1;
-        self.eject_q[node].push_back(d);
+        if flit.index() + 1 < p.nflits {
+            return;
+        }
+        if p.poisoned {
+            self.stats.dropped_corrupt += 1;
+        } else {
+            let d = Delivered {
+                msg: p.msg.take().expect("a live slot holds its message"),
+                injected_at: p.injected_at,
+                delivered_at: self.now,
+            };
+            self.stats.latency.record(d.latency());
+            self.stats.delivered += 1;
+            self.rx_pending += 1;
+            self.eject_q[node].push_back(d);
+        }
+        self.free_slot(flit.slot);
     }
 
     /// NIC: stream queued flits into the router's local input port, one flit
     /// per node per cycle, highest-priority class first.
     fn phase_inject(&mut self) {
-        let local = Port::Local.index();
+        let vcs = self.cfg.vcs;
         for node in 0..self.mesh.nodes() {
-            if self.active_set && self.nic_occ[node] == 0 {
-                continue;
-            }
-            for vc in 0..self.cfg.vcs {
-                let len_idx = (node * PORTS + local) * self.cfg.vcs + vc;
-                if self.fifo_len[len_idx] as usize >= self.cfg.vc_buffer {
+            for vc in 0..vcs {
+                let nq = node * vcs + vc;
+                if self.nic.len(nq) == 0
+                    || self.fifos.len((node * PORTS + LOCAL) * vcs + vc) >= self.cfg.vc_buffer
+                {
                     continue;
                 }
-                let Some(pkt) = self.nic[node][vc].front_mut() else {
-                    continue;
-                };
-                let flit = pkt.pop_front().expect("queued packets are never empty");
-                if pkt.is_empty() {
-                    self.nic[node][vc].pop_front();
-                    self.nic_occ[node] -= 1;
+                let slot = self.nic.front(nq);
+                let seq = self.nic_sent[nq];
+                if seq + 1 == self.slab[slot as usize].nflits {
+                    self.nic.pop(nq);
+                    self.nic_sent[nq] = 0;
+                } else {
+                    self.nic_sent[nq] = seq + 1;
                 }
-                let fifo = &mut self.routers[node].inputs[local].fifos[vc];
-                let was_empty = fifo.is_empty();
-                fifo.push_back(flit);
-                self.fifo_len[len_idx] += 1;
-                if was_empty {
-                    self.refresh_head(node, local, vc);
-                }
-                self.router_occ[node] += 1;
+                self.fifo_push(node, LOCAL, vc, Flit { slot, seq });
                 self.last_progress = self.stats.cycles;
                 break; // One flit per node per cycle.
             }
@@ -1266,6 +1330,7 @@ impl Schedulable for Noc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlane, FaultPlaneConfig};
     use crate::packet::TrafficClass;
 
     fn msg(src: u16, dst: u16, bytes: usize) -> Message {
@@ -1458,21 +1523,61 @@ mod tests {
         assert!(st.flits_ejected >= st.delivered);
         assert_eq!(noc.pending(), 0);
     }
-}
 
-#[cfg(test)]
-mod fault_tests {
-    use super::*;
-    use crate::fault::{FaultPlane, FaultPlaneConfig};
-    use crate::packet::TrafficClass;
+    #[test]
+    fn rings_wrap_and_retain_in_order_per_queue() {
+        let mut r: Rings<u32> = Rings::new(2, 3);
+        for v in 0..3 {
+            r.push(1, v);
+        }
+        assert_eq!((r.len(0), r.len(1), r.pop(1), r.front(1)), (0, 3, 0, 1));
+        r.push(1, 3); // Wraps around the end of the queue's storage.
+        assert_eq!(r.iter(1).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert!(r.retain(1, |v| v != 2));
+        assert_eq!(r.iter(1).collect::<Vec<_>>(), vec![1, 3]);
+        assert!(!r.retain(1, |_| true));
+        assert_eq!(r.len(0), 0, "neighbouring queue untouched");
+    }
 
-    fn msg(src: u16, dst: u16, bytes: usize) -> Message {
-        Message::new(
-            NodeId(src),
-            NodeId(dst),
-            TrafficClass::Request,
-            vec![0xAB; bytes],
-        )
+    #[test]
+    fn corrupt_bit_is_idempotent_and_keeps_position() {
+        let mut f = Flit { slot: 7, seq: 3 };
+        assert!(!f.is_corrupt() && !f.is_head());
+        f.corrupt();
+        assert!(f.is_corrupt());
+        f.corrupt();
+        assert!(f.is_corrupt(), "double corruption stays detected");
+        assert_eq!((f.slot, f.index()), (7, 3));
+        assert!(Flit {
+            slot: 0,
+            seq: CORRUPT
+        }
+        .is_head());
+    }
+
+    #[test]
+    fn invariant_checker_catches_broken_state() {
+        let mut noc = Noc::new(NocConfig::soft(4, 4));
+        for s in 0..16u16 {
+            let _ = noc.try_inject(NodeId(s), msg(s, 15 - s, 100));
+        }
+        for _ in 0..12 {
+            noc.step();
+            assert_eq!(noc.check_invariants(), Ok(()));
+        }
+        let node = (0..16).find(|&n| noc.head_mask[n] != 0).expect("busy");
+        let mask = std::mem::take(&mut noc.head_mask[node]);
+        assert!(matches!(
+            noc.check_invariants(),
+            Err(NocInvariantError::HeadMask(..))
+        ));
+        noc.head_mask[node] = mask;
+        assert_eq!(noc.check_invariants(), Ok(()));
+        noc.stats.injected += 1;
+        assert!(matches!(
+            noc.check_invariants(),
+            Err(NocInvariantError::Conservation(..))
+        ));
     }
 
     #[test]
@@ -1488,6 +1593,7 @@ mod fault_tests {
         assert!(st.corrupted_flits > 0);
         assert_eq!(st.delivered, 0);
         assert_eq!(noc.pending(), 0);
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1501,13 +1607,14 @@ mod fault_tests {
         assert!(noc.run_until_quiescent(100_000));
         assert!(noc.poll_eject(NodeId(3)).is_some(), "healed link delivers");
         assert_eq!(noc.stats().dropped(), 0);
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
 
     #[test]
     fn permanent_kill_detours_around_the_dead_link() {
         // 4x4 mesh: kill 0->East; XY route 0->3 would use it. A detour
-        // through row 1 must deliver intact (checksum passes: the packet
-        // never touches the dead link).
+        // through row 1 must deliver intact (no flit is corrupted: the
+        // packet never touches the dead link).
         let mut noc = Noc::new(NocConfig::soft(4, 4));
         assert!(noc.kill_link(NodeId(0), Direction::East));
         assert!(noc.reachable(NodeId(0), NodeId(3)));
@@ -1516,6 +1623,7 @@ mod fault_tests {
         let d = noc.poll_eject(NodeId(3)).expect("detoured delivery");
         assert_eq!(d.msg.payload.len(), 64);
         assert_eq!(noc.stats().dropped(), 0);
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1533,6 +1641,7 @@ mod fault_tests {
         assert!(noc.reachable(NodeId(0), NodeId(0)));
         noc.try_inject(NodeId(0), msg(0, 0, 8)).expect("loopback");
         assert!(noc.run_until_quiescent(1_000));
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1554,6 +1663,7 @@ mod fault_tests {
         );
         let st = noc.stats();
         assert_eq!(st.delivered + st.dropped(), st.injected);
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1573,6 +1683,7 @@ mod fault_tests {
             "stalled={stalled} unstalled={unstalled}"
         );
         assert_eq!(noc.stats().dropped(), 0);
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -1602,6 +1713,8 @@ mod fault_tests {
                     delivered_tags.push(d.msg.tag);
                 }
             }
+            noc.check_invariants()
+                .expect("chaos leaves the network consistent");
             let st = noc.stats().clone();
             assert_eq!(st.delivered + st.dropped(), st.injected);
             (
@@ -1621,89 +1734,6 @@ mod fault_tests {
     }
 
     #[test]
-    fn active_set_is_bit_identical_to_dense_scan() {
-        // Same chaotic workload with the active-set optimisation on and
-        // off: the delivered tag stream, delivery timestamps and every
-        // counter must agree exactly (the skipped nodes had no work).
-        let run = |active: bool| {
-            let mut noc = Noc::new(NocConfig::soft(4, 4));
-            noc.set_active_set(active);
-            noc.install_fault_plane(FaultPlane::new(FaultPlaneConfig::with_rate(77, 0.02)));
-            let mut delivered = Vec::new();
-            for round in 0..300u64 {
-                for s in 0..16u16 {
-                    // Leave most nodes idle most rounds so skipping matters.
-                    if (round + s as u64).is_multiple_of(5) {
-                        let mut m = msg(s, ((s as u64 + round) % 16) as u16, 48);
-                        m.tag = round << 16 | s as u64;
-                        let _ = noc.try_inject(NodeId(s), m);
-                    }
-                }
-                for _ in 0..8 {
-                    noc.step();
-                }
-                for n in 0..16u16 {
-                    for d in noc.drain_eject(NodeId(n)) {
-                        delivered.push((d.msg.tag, d.delivered_at.as_u64()));
-                    }
-                }
-            }
-            assert!(noc.run_until_quiescent(2_000_000));
-            for n in 0..16u16 {
-                for d in noc.drain_eject(NodeId(n)) {
-                    delivered.push((d.msg.tag, d.delivered_at.as_u64()));
-                }
-            }
-            let st = noc.stats().clone();
-            (
-                delivered,
-                st.delivered,
-                st.dropped(),
-                st.corrupted_flits,
-                st.flit_hops,
-                st.latency.p50(),
-                st.latency.p99(),
-            )
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on, off, "active-set scheduling must not change behaviour");
-    }
-
-    #[test]
-    fn active_set_survives_purges_and_reroutes() {
-        // purge_packet rebuilds the occupancy counters; a kill mid-flight
-        // exercises that path. The run must still drain and stay accounted.
-        let run = |active: bool| {
-            let mut noc = Noc::new(NocConfig::soft(4, 4));
-            noc.set_active_set(active);
-            for s in 0..16u16 {
-                let _ = noc.try_inject(NodeId(s), msg(s, (s + 7) % 16, 400));
-            }
-            for _ in 0..10 {
-                noc.step();
-            }
-            noc.kill_link(NodeId(1), Direction::East);
-            noc.kill_link(NodeId(5), Direction::North);
-            assert!(noc.run_until_quiescent(1_000_000));
-            let st = noc.stats().clone();
-            assert_eq!(st.delivered + st.dropped(), st.injected);
-            let tags: Vec<u64> = (0..16u16)
-                .flat_map(|n| noc.drain_eject(NodeId(n)))
-                .map(|d| d.msg.tag)
-                .collect();
-            (tags, st.delivered, st.dropped(), st.flit_hops)
-        };
-        assert_eq!(run(true), run(false));
-    }
-}
-
-#[cfg(test)]
-mod link_stats_tests {
-    use super::*;
-    use crate::packet::TrafficClass;
-
-    #[test]
     fn link_utilization_sums_to_flit_hops() {
         let mut noc = Noc::new(NocConfig::soft(4, 4));
         for s in 0..16u16 {
@@ -1711,10 +1741,7 @@ mod link_stats_tests {
             if s == d {
                 continue;
             }
-            let _ = noc.try_inject(
-                NodeId(s),
-                Message::new(NodeId(s), NodeId(d), TrafficClass::Request, vec![0; 100]),
-            );
+            let _ = noc.try_inject(NodeId(s), msg(s, d, 100));
         }
         assert!(noc.run_until_quiescent(100_000));
         let cycles = noc.stats().cycles as f64;
@@ -1752,10 +1779,7 @@ mod link_stats_tests {
     #[test]
     fn congestion_render_has_grid_shape() {
         let mut noc = Noc::new(NocConfig::soft(3, 2));
-        let _ = noc.try_inject(
-            NodeId(0),
-            Message::new(NodeId(0), NodeId(5), TrafficClass::Request, vec![0; 64]),
-        );
+        let _ = noc.try_inject(NodeId(0), msg(0, 5, 64));
         noc.run_until_quiescent(10_000);
         let s = noc.render_congestion();
         assert_eq!(s.lines().count(), 2);

@@ -1,4 +1,4 @@
-//! Messages, packets and flits.
+//! Messages, packet identifiers and deliveries.
 
 use crate::topology::NodeId;
 use apiary_sim::{Cycle, Payload};
@@ -86,106 +86,12 @@ impl Message {
     pub fn wire_bytes(&self, header_bytes: usize) -> usize {
         header_bytes + self.payload.len()
     }
-}
 
-/// What a flit carries.
-#[derive(Debug, Clone)]
-pub enum FlitKind {
-    /// The head flit carries the full message (the simulator's stand-in for
-    /// reassembly buffers).
-    Head(Box<Message>),
-    /// A body flit.
-    Body,
-}
-
-/// One flit of a packet.
-#[derive(Debug, Clone)]
-pub struct Flit {
-    /// Owning packet.
-    pub packet: PacketId,
-    /// Head or body.
-    pub kind: FlitKind,
-    /// `true` on the last flit of the packet (a single-flit packet's head is
-    /// also its tail).
-    pub is_tail: bool,
-    /// Destination node (replicated so body flits can be audited).
-    pub dst: NodeId,
-    /// Virtual channel.
-    pub vc: usize,
-    /// Link-level checksum, set at packetisation. Fault injection flips it;
-    /// the ejecting node verifies it so corruption is *detected* (and the
-    /// packet dropped) rather than silently delivered.
-    pub checksum: u32,
-}
-
-impl Flit {
-    /// The checksum a pristine copy of this flit would carry.
-    pub fn expected_checksum(&self) -> u32 {
-        let head = matches!(self.kind, FlitKind::Head(_)) as u64;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in [
-            self.packet.0,
-            head,
-            self.is_tail as u64,
-            self.dst.0 as u64,
-            self.vc as u64,
-        ] {
-            h ^= word;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (h >> 32) as u32 ^ h as u32
+    /// Flits the message occupies on links `flit_bytes` wide; every
+    /// message has at least one.
+    pub fn flits(&self, flit_bytes: usize, header_bytes: usize) -> usize {
+        self.wire_bytes(header_bytes).div_ceil(flit_bytes).max(1)
     }
-
-    /// Whether the flit survived transit intact.
-    pub fn checksum_ok(&self) -> bool {
-        self.checksum == self.expected_checksum()
-    }
-
-    /// Marks the flit as damaged in transit (checksum no longer matches).
-    /// Idempotent: crossing several faulty links stays detectable.
-    pub fn corrupt(&mut self) {
-        self.checksum = self.expected_checksum() ^ 0x5A5A_5A5A;
-    }
-}
-
-/// Segments a message into flits.
-///
-/// A flit carries `flit_bytes` of data; the header occupies `header_bytes`
-/// at the front. Every packet has at least one flit.
-pub fn packetize(
-    msg: Message,
-    packet: PacketId,
-    flit_bytes: usize,
-    header_bytes: usize,
-) -> Vec<Flit> {
-    assert!(flit_bytes > 0, "flit size must be positive");
-    let total = msg.wire_bytes(header_bytes);
-    let nflits = total.div_ceil(flit_bytes).max(1);
-    let dst = msg.dst;
-    let vc = msg.class.vc();
-    let mut flits = Vec::with_capacity(nflits);
-    flits.push(Flit {
-        packet,
-        kind: FlitKind::Head(Box::new(msg)),
-        is_tail: nflits == 1,
-        dst,
-        vc,
-        checksum: 0,
-    });
-    for i in 1..nflits {
-        flits.push(Flit {
-            packet,
-            kind: FlitKind::Body,
-            is_tail: i == nflits - 1,
-            dst,
-            vc,
-            checksum: 0,
-        });
-    }
-    for f in &mut flits {
-        f.checksum = f.expected_checksum();
-    }
-    flits
 }
 
 /// A message delivered at its destination's local port, with timing.
@@ -229,27 +135,19 @@ mod tests {
 
     #[test]
     fn single_flit_message() {
-        let flits = packetize(msg(0), PacketId(1), 16, 8);
-        assert_eq!(flits.len(), 1);
-        assert!(flits[0].is_tail);
-        assert!(matches!(flits[0].kind, FlitKind::Head(_)));
+        assert_eq!(msg(0).flits(16, 8), 1);
     }
 
     #[test]
     fn flit_count_matches_wire_size() {
         // 8-byte header + 100-byte payload = 108 bytes = 7 x 16 B flits.
-        let flits = packetize(msg(100), PacketId(2), 16, 8);
-        assert_eq!(flits.len(), 7);
-        assert!(flits[6].is_tail);
-        assert!(!flits[0].is_tail);
-        assert!(flits[1..].iter().all(|f| matches!(f.kind, FlitKind::Body)));
+        assert_eq!(msg(100).flits(16, 8), 7);
     }
 
     #[test]
     fn exact_multiple_has_no_extra_flit() {
         // 8 + 24 = 32 bytes = exactly 2 x 16.
-        let flits = packetize(msg(24), PacketId(3), 16, 8);
-        assert_eq!(flits.len(), 2);
+        assert_eq!(msg(24).flits(16, 8), 2);
     }
 
     #[test]
@@ -257,22 +155,6 @@ mod tests {
         assert_eq!(TrafficClass::Control.vc(), 0);
         assert_eq!(TrafficClass::Request.vc(), 1);
         assert_eq!(TrafficClass::Bulk.vc(), 2);
-        let mut m = msg(0);
-        m.class = TrafficClass::Bulk;
-        let flits = packetize(m, PacketId(4), 16, 8);
-        assert_eq!(flits[0].vc, 2);
-    }
-
-    #[test]
-    fn checksums_verify_and_detect_corruption() {
-        let mut flits = packetize(msg(100), PacketId(9), 16, 8);
-        assert!(flits.iter().all(|f| f.checksum_ok()));
-        flits[3].corrupt();
-        assert!(!flits[3].checksum_ok());
-        flits[3].corrupt();
-        assert!(!flits[3].checksum_ok(), "double corruption stays detected");
-        // Head and body of the same packet have distinct checksums.
-        assert_ne!(flits[0].checksum, flits[1].checksum);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //!    arrive in injection order (per-VC FIFO + deterministic XY path).
 //! 3. The network always drains (deadlock-freedom of XY + credit flow
 //!    control) within a generous cycle bound.
+//! 4. [`Noc::check_invariants`] holds after every batch of steps.
 
 use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
 use proptest::prelude::*;
@@ -78,10 +79,12 @@ proptest! {
             for _ in 0..s.gap {
                 noc.step();
             }
+            prop_assert_eq!(noc.check_invariants(), Ok(()));
         }
 
         // Deadlock-freedom: generous bound, then hard assert.
         prop_assert!(noc.run_until_quiescent(2_000_000), "network failed to drain");
+        prop_assert_eq!(noc.check_invariants(), Ok(()));
 
         // Collect all deliveries.
         let mut got: Vec<(u16, u16, u8, u64)> = Vec::new();

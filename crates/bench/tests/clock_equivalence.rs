@@ -251,3 +251,97 @@ fn serverless_plane_clocks_agree() {
     set_clock_mode(ClockMode::Event);
     assert_eq!(event, dense, "serverless plane diverged between clocks");
 }
+
+/// A lossy 4-board serverless cell: 0.1% frame loss on every link of the
+/// star (so the ToR switches every remote frame), a cluster request
+/// timeout short enough that lost frames turn into cluster timeouts, and
+/// an idle window deep enough to scale every pool to zero before a cold
+/// re-invoke. Every finished record, the fabric counters and each board's
+/// directory counters must match under both clocks.
+#[test]
+fn lossy_serverless_cell_clocks_agree() {
+    use apiary_cluster::{ClusterConfig, FabricConfig, LinkConfig};
+    use apiary_faas::{FaasConfig, FaasSystem, FunctionSpec};
+    use apiary_resources::Area;
+    use apiary_sim::SimRng;
+    use std::rc::Rc;
+
+    const BOARDS: u16 = 4;
+    let _guard = CLOCK.lock().unwrap();
+    let run = |mode| {
+        set_clock_mode(mode);
+        let mut s = FaasSystem::new(FaasConfig {
+            cluster: ClusterConfig {
+                boards: BOARDS,
+                fabric: FabricConfig {
+                    link: LinkConfig {
+                        loss: 0.001,
+                        arq_timeout: 800,
+                        ..LinkConfig::default()
+                    },
+                    seed: 0x1055,
+                    ..FabricConfig::default()
+                },
+                request_timeout: 1_200,
+                ..ClusterConfig::default()
+            },
+            autoscale_interval: 1_000,
+            idle_intervals_to_zero: 2,
+            ..FaasConfig::default()
+        });
+        for (i, (luts, bytes)) in [(60_000u64, 4_096u64), (80_000, 5_000), (90_000, 6_000)]
+            .into_iter()
+            .enumerate()
+        {
+            s.register(FunctionSpec {
+                name: format!("f{i}"),
+                footprint: Area::logic(luts, luts),
+                bitstream_bytes: bytes,
+                app: AppId(1 + i as u32),
+                factory: Rc::new(|| Box::new(echo(40))),
+            });
+        }
+        let mut rng = SimRng::new(11);
+        let mut finished = Vec::new();
+        for i in 0u32..400 {
+            let f = [0, 0, 0, 1, 1, 2][rng.gen_range(6) as usize];
+            s.invoke(f, i % 2, (i % u32::from(BOARDS)) as u16, vec![0u8; 24]);
+            s.run(1 + rng.gen_range(120));
+            finished.extend(s.take_finished());
+        }
+        s.run_until(200_000, |s| s.quiescent());
+        s.run(8_000); // idle across reclaim boundaries → scale to zero
+        let zeroed = (0..3).all(|f| s.live_replicas(f) == 0);
+        s.invoke(2, 0, 3, vec![0u8; 24]); // cold re-invoke
+        s.run_until(200_000, |s| s.quiescent());
+        finished.extend(s.take_finished());
+        s.check_invariants()
+            .expect("faas and cluster invariants hold");
+        let c = s.cluster();
+        let dirs: Vec<(u64, u64, u64)> = (0..BOARDS)
+            .map(|b| {
+                let d = c.directory(b);
+                (d.displaced, d.merged_in, d.expired)
+            })
+            .collect();
+        let stats: Vec<_> = (0..3).map(|f| s.stats(f)).collect();
+        let digest = format!(
+            "{finished:?}|{:?}|{dirs:?}|timeouts={}|{stats:?}|{:?}",
+            c.fabric().stats(),
+            c.timeouts,
+            s.now()
+        );
+        (digest, c.timeouts, c.fabric().stats().loss_drops, zeroed)
+    };
+    let event = run(ClockMode::Event);
+    let dense = run(ClockMode::Dense);
+    set_clock_mode(ClockMode::Event);
+    let (_, timeouts, loss_drops, zeroed) = &event;
+    assert!(*timeouts > 0, "cluster timeouts fired");
+    assert!(*loss_drops > 0, "the loss model fired");
+    assert!(*zeroed, "every pool scaled to zero before the re-invoke");
+    assert_eq!(
+        event, dense,
+        "lossy serverless cell diverged between clocks"
+    );
+}

@@ -39,7 +39,7 @@ use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload}
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{clock_mode, ClockMode, Cycle};
 use apiary_trace::{EventKind, LatencyTracker};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// High bit marks gateway-local ingress tags, so a board can tell replies
 /// to forwarded remote work from replies to its own clients' local work.
@@ -222,6 +222,9 @@ struct Board {
     replicas: BTreeMap<String, ReplicaMeta>,
     /// Reconfigurations whose directory entry awaits republish.
     republish: Vec<Republish>,
+    /// When this board's kernel phases next come due, as read by the
+    /// event clock's `next_due` for the step that follows it.
+    phase_due: Cycle,
 }
 
 /// The multi-board machine.
@@ -232,6 +235,12 @@ pub struct ClusterSystem {
     fabric: Fabric,
     balancer: Balancer,
     pending: BTreeMap<u64, Pending>,
+    /// Request deadlines in submit order, which is deadline order because
+    /// `request_timeout` is fixed. An entry is live while its tag is
+    /// pending with that deadline; a reply or a resubmit of the tag leaves
+    /// it stale, and the timeout pass drops stale entries as they reach the
+    /// front. Every pending request has exactly one live entry.
+    deadlines: VecDeque<(Cycle, u64)>,
     completions: Vec<Completion>,
     next_ingress: u64,
     /// Origin gateway → target-board ingress (outbound fabric hop).
@@ -287,6 +296,7 @@ impl ClusterSystem {
                 ingress: BTreeMap::new(),
                 replicas: BTreeMap::new(),
                 republish: Vec::new(),
+                phase_due: Cycle::ZERO,
             });
         }
         let fabric = Fabric::new(cfg.boards, cfg.fabric);
@@ -298,6 +308,7 @@ impl ClusterSystem {
             fabric,
             balancer,
             pending: BTreeMap::new(),
+            deadlines: VecDeque::new(),
             completions: Vec::new(),
             next_ingress: 0,
             fabric_out: LatencyTracker::new(),
@@ -843,14 +854,26 @@ impl ClusterSystem {
             self.remote_submitted += 1;
         }
         self.balancer.started((tboard, tnode));
-        self.pending.insert(
+        let deadline = now + self.cfg.request_timeout;
+        let superseded = self.pending.insert(
             tag,
             Pending {
                 origin,
                 target: (tboard, tnode),
-                deadline: now + self.cfg.request_timeout,
+                deadline,
             },
         );
+        // A resubmitted tag supersedes the attempt still pending: its reply
+        // would complete the new one, so it no longer holds its replica.
+        // A resubmit in the same cycle already has its live entry.
+        let mut fresh = true;
+        if let Some(old) = superseded {
+            self.balancer.finished(old.target);
+            fresh = old.deadline != deadline;
+        }
+        if fresh {
+            self.deadlines.push_back((deadline, tag));
+        }
         Ok((tboard, tnode))
     }
 
@@ -901,6 +924,58 @@ impl ClusterSystem {
                 .all(|b| b.ingress.is_empty() && b.sys.is_idle())
     }
 
+    /// Cross-checks the request bookkeeping: the deadline queue is in
+    /// deadline order, every pending request has exactly one live entry
+    /// carrying its deadline, and the balancer's in-flight count for each
+    /// replica equals the number of pending requests that target it.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut prev = Cycle::ZERO;
+        let mut live: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(deadline, tag) in &self.deadlines {
+            if deadline < prev {
+                return Err(format!(
+                    "deadline queue goes back from {prev} to {deadline} at tag {tag:#x}"
+                ));
+            }
+            prev = deadline;
+            if self
+                .pending
+                .get(&tag)
+                .is_some_and(|p| p.deadline == deadline)
+            {
+                *live.entry(tag).or_default() += 1;
+            }
+        }
+        for (&tag, p) in &self.pending {
+            let n = live.get(&tag).copied().unwrap_or(0);
+            if n != 1 {
+                return Err(format!(
+                    "pending tag {tag:#x} (deadline {}) has {n} live deadline entries",
+                    p.deadline
+                ));
+            }
+        }
+        let mut targeted: BTreeMap<(u16, NodeId), u64> = BTreeMap::new();
+        for p in self.pending.values() {
+            *targeted.entry(p.target).or_default() += 1;
+        }
+        for (&r, &n) in &targeted {
+            let held = self.balancer.load(r);
+            if held != n {
+                return Err(format!(
+                    "balancer holds {held} in flight at {r:?}, {n} pending requests target it"
+                ));
+            }
+        }
+        let (held, pending) = (self.balancer.total_in_flight(), self.pending.len() as u64);
+        if held != pending {
+            return Err(format!(
+                "balancer holds {held} in flight in all, {pending} requests are pending"
+            ));
+        }
+        Ok(())
+    }
+
     fn finish_request(&mut self, tag: u64, is_error: bool, now: Cycle) {
         match self.pending.remove(&tag) {
             Some(p) => {
@@ -918,18 +993,27 @@ impl ClusterSystem {
         }
     }
 
-    /// Advances the whole cluster by one cycle.
+    /// Advances the whole cluster by one cycle under the dense reference
+    /// clock: every live board ticks in full and every fabric link pumps.
     pub fn tick(&mut self) {
         self.ticks += 1;
-        let now = Cycle(self.ticks);
-        let gw = self.cfg.gateway;
-
         // 1. Boards advance in index order; dead boards stay frozen.
         for b in &mut self.boards {
             if b.alive {
                 b.sys.tick();
             }
         }
+        self.cluster_cycle(Cycle(self.ticks), false);
+    }
+
+    /// Everything a cluster cycle does after the boards advance: migration
+    /// phases, republish, gossip, the fabric, gateway drains and request
+    /// timeouts. Both clocks funnel through this; `due_links_only` pumps
+    /// only the fabric links with work due this cycle (the event clock),
+    /// which is the same as pumping them all, since an early pump is a
+    /// no-op.
+    fn cluster_cycle(&mut self, now: Cycle, due_links_only: bool) {
+        let gw = self.cfg.gateway;
 
         // 1b. Live migrations whose quiesce window elapsed take their
         //     snapshot: the source stops serving (tile decommissioned,
@@ -965,7 +1049,7 @@ impl ClusterSystem {
 
         // 2. Completed reconfigurations republish their directory entry.
         for bi in 0..self.boards.len() {
-            if !self.boards[bi].alive {
+            if !self.boards[bi].alive || self.boards[bi].republish.is_empty() {
                 continue;
             }
             let done: Vec<usize> = self.boards[bi]
@@ -993,18 +1077,21 @@ impl ClusterSystem {
         //     cap against the old home is proactively revoked (a fresh cap
         //     is minted against the new home on the next submit — clients
         //     never see a cap change, naming is late-bound).
-        let finished: Vec<u32> = self
-            .migrations
-            .iter()
-            .filter(|(_, m)| {
-                m.phase == MigPhase::Restore
-                    && self.boards[m.dst as usize]
-                        .dir
-                        .lookup_local(now, &m.name)
-                        .is_some_and(|e| e.node == m.dst_node)
-            })
-            .map(|(&s, _)| s)
-            .collect();
+        let finished: Vec<u32> = if self.migrations.is_empty() {
+            Vec::new()
+        } else {
+            self.migrations
+                .iter()
+                .filter(|(_, m)| {
+                    m.phase == MigPhase::Restore
+                        && self.boards[m.dst as usize]
+                            .dir
+                            .lookup_local(now, &m.name)
+                            .is_some_and(|e| e.node == m.dst_node)
+                })
+                .map(|(&s, _)| s)
+                .collect()
+        };
         for sid in finished {
             let m = self.migrations.remove(&sid).expect("listed above");
             self.boards[m.dst as usize]
@@ -1131,7 +1218,11 @@ impl ClusterSystem {
         }
 
         // 4. Fabric: deliveries and ARQ retransmission attribution.
-        let (deliveries, retx) = self.fabric.step(now);
+        let (deliveries, retx) = if due_links_only {
+            self.fabric.step_due(now)
+        } else {
+            self.fabric.step(now)
+        };
         for (src_board, n) in retx {
             if !self.boards[src_board as usize].alive {
                 continue;
@@ -1338,15 +1429,28 @@ impl ClusterSystem {
             }
         }
 
-        // 6. Cluster-level timeouts feed the client retry path.
-        let expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&t, _)| t)
-            .collect();
+        // 6. Cluster-level timeouts feed the client retry path, in tag
+        //    order. Deadlines are non-decreasing along the queue, so every
+        //    expired entry sits at the front, mixed only with stale ones.
+        let mut expired = Vec::new();
+        while let Some(&(deadline, tag)) = self.deadlines.front() {
+            let live = self
+                .pending
+                .get(&tag)
+                .is_some_and(|p| p.deadline == deadline);
+            if live && deadline > now {
+                break;
+            }
+            self.deadlines.pop_front();
+            if live {
+                expired.push(tag);
+            }
+        }
+        expired.sort_unstable();
         for tag in expired {
-            let p = self.pending.remove(&tag).expect("listed above");
+            let Some(p) = self.pending.remove(&tag) else {
+                continue;
+            };
             self.balancer.finished(p.target);
             self.timeouts += 1;
             self.completions.push(Completion {
@@ -1358,24 +1462,30 @@ impl ClusterSystem {
     }
 
     /// The next cycle, no later than `horizon`, at which anything in the
-    /// cluster can happen: a board's kernel phases come due (including all
-    /// in-flight NoC traffic), a fabric link has work, a gossip round
-    /// fires, or a cluster-level request timeout expires. Every cycle
-    /// strictly before the returned one is provably a no-op for the whole
-    /// machine, so the event clock may skip it.
-    fn next_due(&self, horizon: Cycle) -> Cycle {
+    /// cluster can happen: a board's NoC has traffic in flight or its
+    /// kernel phases come due, a fabric link has work, a gossip round
+    /// fires, a cluster-level request timeout expires, or a migration's
+    /// quiesce window ends. Every cycle strictly before the returned one is
+    /// provably a no-op for the whole machine, so the event clock may skip
+    /// it. Records each live board's phase deadline for the step that
+    /// follows.
+    fn next_due(&mut self, horizon: Cycle) -> Cycle {
         let now = self.now();
         let next = now.saturating_add(1);
         let mut due = horizon.max(next);
-        for b in &self.boards {
+        for b in &mut self.boards {
             if b.alive {
-                due = due.min(b.sys.next_event_due(horizon));
+                b.phase_due = b.sys.phases_due();
+                let busy = b.sys.noc().pending() > 0;
+                due = due.min(if busy { next } else { b.phase_due });
             }
         }
         due = due.min(self.fabric.next_activity(next));
         let g = self.cfg.gossip_interval;
         due = due.min(Cycle((self.ticks / g + 1) * g));
-        if let Some(d) = self.pending.values().map(|p| p.deadline).min() {
+        // The front is live after every timeout pass; a stale one only
+        // wakes the cluster early, which is harmless.
+        if let Some(&(d, _)) = self.deadlines.front() {
             due = due.min(d.max(next));
         }
         for m in self.migrations.values() {
@@ -1386,22 +1496,21 @@ impl ClusterSystem {
         due.max(next)
     }
 
-    /// One event-clock step: fast-forward every live board (and the shared
-    /// tick counter) through the provably quiet cycles, then run the next
-    /// eventful cycle through the ordinary dense [`ClusterSystem::tick`].
-    /// Always advances at least one cycle and never beyond `horizon`.
+    /// One event-clock step: jump to the next eventful cycle and run it,
+    /// doing only the work due on it. Each live board steps its NoC only
+    /// while traffic is in flight (else skips the idle interconnect) and
+    /// runs its kernel phases only when they come due or a delivery waits
+    /// ([`System::lockstep_cycle`]); the fabric pumps only links with work
+    /// due. Always advances at least one cycle and never beyond `horizon`.
     fn event_step(&mut self, horizon: Cycle) {
-        let due = self.next_due(horizon);
-        if due.0 > self.ticks + 1 {
-            let resume = Cycle(due.0 - 1);
-            for b in &mut self.boards {
-                if b.alive {
-                    b.sys.skip_to(resume);
-                }
+        let now = self.next_due(horizon);
+        self.ticks = now.0;
+        for b in &mut self.boards {
+            if b.alive {
+                b.sys.lockstep_cycle(now, b.phase_due);
             }
-            self.ticks = resume.0;
         }
-        self.tick();
+        self.cluster_cycle(now, true);
     }
 
     /// Advances time by one scheduling step: one cycle under the dense
@@ -1567,4 +1676,52 @@ pub fn run_clients(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apiary_accel::apps::echo::echo;
+
+    /// One board with a local replica and two requests pending at
+    /// different deadlines.
+    fn two_pending() -> ClusterSystem {
+        let mut c = ClusterSystem::new(ClusterConfig::default());
+        c.deploy_replica(
+            0,
+            "kv",
+            ServiceId(40),
+            NodeId(5),
+            AppId(1),
+            FaultPolicy::FailStop,
+            4096,
+            Box::new(|| Box::new(echo(20))),
+        )
+        .expect("deploy");
+        c.submit(0, "kv", 1, vec![0; 8]).expect("submit 1");
+        c.tick();
+        c.submit(0, "kv", 2, vec![0; 8]).expect("submit 2");
+        c.check_invariants().expect("consistent");
+        c
+    }
+
+    #[test]
+    fn invariant_checker_catches_broken_bookkeeping() {
+        let mut c = two_pending();
+        c.deadlines.swap(0, 1);
+        assert!(c.check_invariants().unwrap_err().contains("goes back"));
+
+        let mut c = two_pending();
+        c.deadlines.pop_back();
+        assert!(c.check_invariants().unwrap_err().contains("0 live"));
+
+        let mut c = two_pending();
+        let front = c.deadlines[0];
+        c.deadlines.push_front(front);
+        assert!(c.check_invariants().unwrap_err().contains("2 live"));
+
+        let mut c = two_pending();
+        c.balancer.started((0, NodeId(5)));
+        assert!(c.check_invariants().unwrap_err().contains("balancer"));
+    }
 }

@@ -18,8 +18,8 @@
 //! so a *transient* cut costs latency while a *permanent* one strands
 //! traffic until lease expiry fails the directory over.
 //!
-//! Everything ticks in `BTreeMap` key order, so a fabric built from the
-//! same config and seed replays byte-identically.
+//! Links pump in `(from, to)` key order, so a fabric built from the same
+//! config and seed replays byte-identically.
 
 use crate::directory::DirEntry;
 use apiary_cap::ServiceId;
@@ -27,7 +27,7 @@ use apiary_net::arq::{Ack, GoBackNReceiver, GoBackNSender, Packet};
 use apiary_net::{Frame, Wire};
 use apiary_noc::NodeId;
 use apiary_sim::{Cycle, Payload, Schedulable, Wakeup};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Endpoint id of the top-of-rack switch (star topology only).
 const TOR: u16 = u16::MAX;
@@ -488,20 +488,22 @@ pub struct FabricStats {
 pub struct Fabric {
     cfg: FabricConfig,
     boards: u16,
-    links: BTreeMap<(u16, u16), Link>,
+    /// Every link with its `(from, to)` key, sorted by key. The set is
+    /// fixed at construction.
+    links: Vec<((u16, u16), Link)>,
     delivered: u64,
 }
 
 impl Fabric {
     /// Builds the fabric for `boards` boards.
     pub fn new(boards: u16, cfg: FabricConfig) -> Fabric {
-        let mut links = BTreeMap::new();
+        let mut links = Vec::new();
         let mut link_seed = cfg.seed;
-        let mut mk = |a: u16, b: u16, links: &mut BTreeMap<(u16, u16), Link>| {
+        let mut mk = |a: u16, b: u16, links: &mut Vec<((u16, u16), Link)>| {
             link_seed = link_seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(1);
-            links.insert((a, b), Link::new(&cfg.link, link_seed));
+            links.push(((a, b), Link::new(&cfg.link, link_seed)));
         };
         match cfg.topology {
             Topology::Star => {
@@ -520,6 +522,7 @@ impl Fabric {
                 }
             }
         }
+        links.sort_by_key(|&(key, _)| key);
         Fabric {
             cfg,
             boards,
@@ -533,13 +536,19 @@ impl Fabric {
         self.boards
     }
 
+    /// The link with key `key`, if the topology has one.
+    fn link_mut(&mut self, key: (u16, u16)) -> Option<&mut Link> {
+        let i = self.links.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(&mut self.links[i].1)
+    }
+
     /// Queues a message at its source board's egress.
     pub fn send(&mut self, msg: &ClusterMsg) {
         let first_hop = match self.cfg.topology {
             Topology::Star => (msg.src, TOR),
             Topology::FullMesh => (msg.src, msg.dst),
         };
-        if let Some(l) = self.links.get_mut(&first_hop) {
+        if let Some(l) = self.link_mut(first_hop) {
             // Encode once; every later hop and retransmission shares the
             // buffer.
             l.backlog.push_back(msg.encode().into());
@@ -551,18 +560,13 @@ impl Fabric {
     /// `b = Some(peer)` cuts the pair to one peer (mesh) or degrades to the
     /// board's uplink (star — there is no per-peer link to cut).
     pub fn set_link(&mut self, a: u16, b: Option<u16>, up: bool) {
-        let peers: Vec<(u16, u16)> = self
-            .links
-            .keys()
-            .copied()
-            .filter(|&(x, y)| match (self.cfg.topology, b) {
-                (Topology::Star, _) => x == a || y == a,
-                (Topology::FullMesh, None) => x == a || y == a,
-                (Topology::FullMesh, Some(p)) => (x, y) == (a, p) || (x, y) == (p, a),
-            })
-            .collect();
-        for k in peers {
-            if let Some(l) = self.links.get_mut(&k) {
+        let topology = self.cfg.topology;
+        for ((x, y), l) in &mut self.links {
+            let hit = match (topology, b) {
+                (Topology::Star, _) | (Topology::FullMesh, None) => *x == a || *y == a,
+                (Topology::FullMesh, Some(p)) => (*x, *y) == (a, p) || (*x, *y) == (p, a),
+            };
+            if hit {
                 l.up = up;
             }
         }
@@ -572,12 +576,30 @@ impl Fabric {
     /// sort before ToR downlinks, so a frame can be switched the same cycle
     /// it reaches the ToR. Returns decoded deliveries plus per-source-board
     /// retransmission counts for the tracer.
-    pub fn step(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        let keys: Vec<(u16, u16)> = self.links.keys().copied().collect();
+    pub fn step(&mut self, now: Cycle) -> FabricOutput {
+        self.pump_links(now, false)
+    }
+
+    /// [`Fabric::step`] pumping only the links with work due at `now`
+    /// (`Link::next_activity`). Each link is checked when the key-order
+    /// loop reaches it, so a ToR downlink still switches a frame on the
+    /// cycle its uplink delivers it. The outcome is identical to
+    /// [`Fabric::step`]: pumping a link before its next activity is a
+    /// no-op.
+    pub(crate) fn step_due(&mut self, now: Cycle) -> FabricOutput {
+        self.pump_links(now, true)
+    }
+
+    fn pump_links(&mut self, now: Cycle, due_only: bool) -> FabricOutput {
         let mut out = Vec::new();
         let mut retx = Vec::new();
-        for key in keys {
-            let (payloads, r) = self.links.get_mut(&key).expect("key just listed").pump(now);
+        for i in 0..self.links.len() {
+            let (key, link) = &mut self.links[i];
+            let key = *key;
+            if due_only && link.next_activity(now) > now {
+                continue;
+            }
+            let (payloads, r) = link.pump(now);
             if r > 0 && key.0 != TOR {
                 retx.push((key.0, r));
             }
@@ -587,7 +609,7 @@ impl Fabric {
                 };
                 if key.1 == TOR {
                     // Store-and-forward at the switch: onto the downlink.
-                    if let Some(down) = self.links.get_mut(&(TOR, msg.dst)) {
+                    if let Some(down) = self.link_mut((TOR, msg.dst)) {
                         down.backlog.push_back(p);
                     }
                 } else {
@@ -599,12 +621,6 @@ impl Fabric {
         (out, retx)
     }
 
-    /// Advances the fabric by one cycle.
-    #[deprecated(note = "use `Fabric::step` (or drive via `Schedulable::wake`)")]
-    pub fn tick(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        self.step(now)
-    }
-
     /// The earliest cycle at or after `next` at which any link has work:
     /// a queued transmission, an ARQ retransmission deadline, or a frame
     /// arriving. [`Cycle::MAX`] when the whole fabric is quiet. Event-clock
@@ -612,15 +628,15 @@ impl Fabric {
     /// a single delivery or retransmission.
     pub fn next_activity(&self, next: Cycle) -> Cycle {
         self.links
-            .values()
-            .map(|l| l.next_activity(next))
+            .iter()
+            .map(|(_, l)| l.next_activity(next))
             .min()
             .unwrap_or(Cycle::MAX)
     }
 
     /// Nothing queued, unacked, or in flight anywhere.
     pub fn idle(&self) -> bool {
-        self.links.values().all(Link::idle)
+        self.links.iter().all(|(_, l)| l.idle())
     }
 
     /// Aggregate counters.
@@ -629,7 +645,7 @@ impl Fabric {
             delivered: self.delivered,
             ..FabricStats::default()
         };
-        for l in self.links.values() {
+        for (_, l) in &self.links {
             s.retransmissions += l.tx.retransmissions;
             s.cut_drops += l.cut_drops;
             s.loss_drops += l.data.dropped;

@@ -1,12 +1,15 @@
 //! End-to-end cluster tests: remote invocation, gossip convergence,
-//! determinism, board-kill failover, link cuts, and reconfiguration churn.
+//! determinism, board-kill failover, link cuts, reconfiguration churn,
+//! live migration, and the request-deadline queue. Every test ends with
+//! [`ClusterSystem::check_invariants`].
 
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
-use apiary_cluster::{drive_clients, ClusterClient, ClusterConfig, ClusterSystem};
+use apiary_cluster::{drive_clients, ClusterClient, ClusterConfig, ClusterSystem, Completion};
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
+use apiary_sim::Cycle;
 
 const KV: ServiceId = ServiceId(40);
 const REPLICA_NODE: NodeId = NodeId(5);
@@ -82,6 +85,7 @@ fn remote_invocation_round_trip() {
     );
     // One remote capability was minted at the origin for (board 1, kv).
     assert_eq!(c.remote_cap_count(0), 1);
+    c.check_invariants().unwrap();
 }
 
 #[test]
@@ -96,6 +100,7 @@ fn gossip_converges_to_every_replica() {
         let live = c.directory(b).lookup_all(c.now(), "kv");
         assert_eq!(live.len(), 4, "board {b} sees all replicas");
     }
+    c.check_invariants().unwrap();
 }
 
 fn fingerprint(boards: u16, cycles: u64) -> String {
@@ -107,6 +112,7 @@ fn fingerprint(boards: u16, cycles: u64) -> String {
         .map(|b| client(b as u32 + 1, b, 150.0))
         .collect();
     run(&mut c, &mut clients, cycles);
+    c.check_invariants().unwrap();
     let mut s = String::new();
     use std::fmt::Write;
     let _ = write!(
@@ -181,6 +187,7 @@ fn board_kill_fails_over_via_directory() {
         c.timeouts > 0,
         "requests in flight to the dead board timed out"
     );
+    c.check_invariants().unwrap();
 }
 
 #[test]
@@ -205,6 +212,7 @@ fn transient_link_cut_retransmits_and_recovers() {
         stats.completed > stats.errors,
         "most traffic survived the cut: {stats:?}"
     );
+    c.check_invariants().unwrap();
 }
 
 #[test]
@@ -228,6 +236,7 @@ fn reconfigure_withdraws_then_republishes() {
     c.tick_n(4_000);
     assert_eq!(c.directory(1).lookup_all(c.now(), "kv").len(), 1);
     assert_eq!(c.directory(0).lookup_all(c.now(), "kv").len(), 1);
+    c.check_invariants().unwrap();
 }
 
 #[test]
@@ -267,6 +276,7 @@ fn churn_during_remote_invocation_recovers() {
         }
     }
     assert!(c.quiescent(), "cluster drains after churn");
+    c.check_invariants().unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -361,6 +371,7 @@ fn live_migration_moves_state_without_cap_churn() {
     // The source board no longer serves the name.
     assert!(c.board(0).service_home(KV).is_none());
     assert_eq!(c.board(1).service_home(KV), Some(REPLICA_NODE));
+    c.check_invariants().unwrap();
 }
 
 #[test]
@@ -376,6 +387,7 @@ fn migration_blackout_scales_with_state_size() {
         let outcomes = c.migration_outcomes();
         assert_eq!(outcomes.len(), 1, "{entries}-entry migration completed");
         assert!(outcomes[0].warm);
+        c.check_invariants().unwrap();
         outcomes[0].blackout()
     };
     let small = blackout(10);
@@ -426,6 +438,7 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
         "board kill recovered warm elsewhere with full retention"
     );
     assert_eq!(c.directory(1).lookup_all(c.now(), "kv").len(), 1);
+    c.check_invariants().unwrap();
     // Without replication the peer holds nothing and recovery is cold.
     let mut cold = cluster(2);
     deploy_kv(&mut cold, 0);
@@ -447,4 +460,118 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
     assert!(!warm, "no replicated checkpoint: cold restart");
     cold.tick_n(10_000);
     assert_eq!(kv_retention(&cold, 1, 40), 0, "cold restart lost the data");
+    cold.check_invariants().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Request-deadline queue: cluster timeouts fire at each request's
+// newest deadline, once, in tag order.
+// ---------------------------------------------------------------------
+
+/// A two-board cluster whose only replica, on board 1, never answers:
+/// board 1's links are cut once gossip has spread the binding, so every
+/// request from board 0 can only time out.
+fn unanswered() -> ClusterSystem {
+    let mut c = cluster(2);
+    deploy_echo(&mut c, 1, 20);
+    c.tick_n(2_000);
+    c.cut_link(1, None);
+    c
+}
+
+fn submit(c: &mut ClusterSystem, tag: u64) {
+    assert_eq!(c.submit(0, "kv", tag, vec![0; 8]), Ok((1, REPLICA_NODE)));
+}
+
+/// Advances until completions surface, at most `limit` cycles, and
+/// returns them with the cycle they surfaced on.
+fn next_completions(c: &mut ClusterSystem, limit: u64) -> Option<(Cycle, Vec<Completion>)> {
+    let end = c.now() + limit;
+    while c.now() < end {
+        c.advance_toward(end);
+        if c.has_completions() {
+            return Some((c.now(), c.take_completions()));
+        }
+    }
+    None
+}
+
+fn timed_out(tag: u64) -> Completion {
+    Completion {
+        origin: 0,
+        tag,
+        is_error: true,
+    }
+}
+
+#[test]
+fn same_cycle_timeouts_complete_in_tag_order() {
+    let timeout = ClusterConfig::default().request_timeout;
+    let mut c = unanswered();
+    let at = c.now();
+    for tag in [30, 10, 20] {
+        submit(&mut c, tag);
+    }
+    let (when, done) = next_completions(&mut c, 2 * timeout).expect("the requests time out");
+    assert_eq!(when, at + timeout);
+    assert_eq!(done, [timed_out(10), timed_out(20), timed_out(30)]);
+    assert_eq!(c.timeouts, 3);
+    c.check_invariants().unwrap();
+}
+
+#[test]
+fn answered_request_never_times_out() {
+    let timeout = ClusterConfig::default().request_timeout;
+    let mut c = cluster(2);
+    deploy_echo(&mut c, 1, 20);
+    c.tick_n(2_000);
+    let at = c.now();
+    submit(&mut c, 7);
+    let (when, done) = next_completions(&mut c, timeout).expect("the echo answers");
+    assert!(when < at + timeout);
+    let ok = Completion {
+        origin: 0,
+        tag: 7,
+        is_error: false,
+    };
+    assert_eq!(done, [ok]);
+    // Its deadline passes with no second completion.
+    assert_eq!(next_completions(&mut c, 2 * timeout), None);
+    assert_eq!(c.timeouts, 0);
+    c.check_invariants().unwrap();
+}
+
+#[test]
+fn retried_tag_times_out_once_at_its_newest_deadline() {
+    let timeout = ClusterConfig::default().request_timeout;
+    let mut c = unanswered();
+    submit(&mut c, 5);
+    c.tick_n(1_000);
+    // The resubmit supersedes the attempt still pending; the first
+    // attempt's deadline must pass silently.
+    let retried_at = c.now();
+    submit(&mut c, 5);
+    c.check_invariants().unwrap();
+    let (when, done) = next_completions(&mut c, 2 * timeout).expect("the retry times out");
+    assert_eq!(when, retried_at + timeout);
+    assert_eq!(done, [timed_out(5)]);
+    assert_eq!(next_completions(&mut c, 2 * timeout), None);
+    assert_eq!(c.timeouts, 1);
+    assert_eq!(c.balancer().total_in_flight(), 0);
+    c.check_invariants().unwrap();
+}
+
+#[test]
+fn same_tag_twice_in_one_cycle_times_out_once() {
+    let timeout = ClusterConfig::default().request_timeout;
+    let mut c = unanswered();
+    let at = c.now();
+    submit(&mut c, 9);
+    submit(&mut c, 9);
+    c.check_invariants().unwrap();
+    let (when, done) = next_completions(&mut c, 2 * timeout).expect("the request times out");
+    assert_eq!(when, at + timeout);
+    assert_eq!(done, [timed_out(9)]);
+    assert_eq!(c.timeouts, 1);
+    c.check_invariants().unwrap();
 }

@@ -1080,8 +1080,8 @@ impl System {
 
     /// Advances the machine by one cycle (the dense reference clock: every
     /// kernel phase runs every cycle). The event clock in [`System::run`]
-    /// reaches the same states by running [`System::cycle_phases`] only on
-    /// cycles a component scheduled a wakeup for.
+    /// reaches the same states by running `cycle_phases` only on cycles a
+    /// component scheduled a wakeup for.
     pub fn tick(&mut self) {
         let now = self.clock.tick();
         self.noc.step();
@@ -1245,52 +1245,63 @@ impl System {
         due
     }
 
+    /// The cycle at which this system's kernel phases next have something
+    /// to do (`next_phase_due` with no horizon). A lockstep
+    /// driver that advances several systems against one shared clock (the
+    /// cluster) reads it once per step, takes `now + 1` instead while
+    /// [`Noc::pending`] is nonzero, and hands it back to
+    /// [`System::lockstep_cycle`].
+    pub fn phases_due(&self) -> Cycle {
+        self.next_phase_due(self.clock.now(), Cycle::MAX)
+    }
+
+    /// Whether the NoC has nothing in flight and nothing delivered but not
+    /// yet pumped into a monitor: stepping it would be a no-op.
+    fn noc_quiet(&self) -> bool {
+        self.noc.pending() == 0 && self.noc.rx_pending_total() == 0
+    }
+
+    /// One event-clock cycle: move to `now`, stepping the NoC if it has
+    /// traffic in flight or undrained (then `now` must be the next cycle)
+    /// and skipping the idle interconnect otherwise, then run the kernel
+    /// phases if `phase_due` has come or a delivery is waiting — a delivery
+    /// re-arms every `OnMessage` sleeper. Every cycle before `phase_due`
+    /// without a delivery is a no-op for the phases, so they are skipped.
+    /// Returns whether the phases ran. The single-board event clock and
+    /// lockstep drivers share this body.
+    pub fn lockstep_cycle(&mut self, now: Cycle, phase_due: Cycle) -> bool {
+        if self.noc_quiet() {
+            self.noc.skip_idle_to(now);
+            self.clock.advance_to(now);
+        } else {
+            debug_assert_eq!(now, self.clock.now().saturating_add(1));
+            self.clock.tick();
+            self.noc.step();
+        }
+        let run = now >= phase_due || self.noc.rx_pending_total() > 0;
+        if run {
+            self.cycle_phases(now);
+        }
+        run
+    }
+
     /// One event-clock step: advance to the next cycle where the kernel
     /// phases can matter — stepping the NoC cycle-by-cycle while traffic is
-    /// in flight (a delivery re-arms every `OnMessage` sleeper, so phases
-    /// run the cycle it lands), jumping the clock outright when the
-    /// interconnect is provably idle — then run the phases for that cycle.
-    /// Always advances at least one cycle and never beyond `horizon`.
+    /// in flight, jumping the clock outright when the interconnect is
+    /// provably idle — then run the phases for that cycle. Always advances
+    /// at least one cycle and never beyond `horizon`.
     fn event_step(&mut self, horizon: Cycle) {
         let due = self.next_phase_due(self.clock.now(), horizon);
-        let now = loop {
-            if self.noc.pending() == 0 && self.noc.rx_pending_total() == 0 {
-                self.noc.skip_idle_to(due);
-                self.clock.advance_to(due);
-                break due;
+        loop {
+            let now = if self.noc_quiet() {
+                due
+            } else {
+                self.clock.now().saturating_add(1)
+            };
+            if self.lockstep_cycle(now, due) {
+                break;
             }
-            let now = self.clock.tick();
-            self.noc.step();
-            if now >= due || self.noc.rx_pending_total() > 0 {
-                break now;
-            }
-        };
-        self.cycle_phases(now);
-    }
-
-    /// The next cycle, no later than `horizon`, at which this system can do
-    /// anything on its own: `now + 1` while NoC traffic is in flight or
-    /// undrained, else the earliest kernel-phase deadline. Lockstep drivers
-    /// that advance several systems against one shared clock (the cluster)
-    /// use this to find the global next event; every cycle strictly before
-    /// the returned one is provably a no-op for this system.
-    pub fn next_event_due(&self, horizon: Cycle) -> Cycle {
-        let now = self.clock.now();
-        if self.noc.pending() > 0 {
-            return now.saturating_add(1);
         }
-        self.next_phase_due(now, horizon)
-    }
-
-    /// Jumps the clock to `target` without running any kernel phases. Only
-    /// sound when every cycle in `(now, target]` is a no-op — i.e. `target`
-    /// is strictly before what [`System::next_event_due`] reported (the NoC
-    /// must be empty, which that contract guarantees). The idle NoC still
-    /// accounts the skipped cycles and steps its chaos plane through them.
-    pub fn skip_to(&mut self, target: Cycle) {
-        debug_assert_eq!(self.noc.pending(), 0, "cannot skip over in-flight traffic");
-        self.noc.skip_idle_to(target);
-        self.clock.advance_to(target);
     }
 
     /// Runs for `cycles` cycles. Under [`ClockMode::Event`] the clock jumps

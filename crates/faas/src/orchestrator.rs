@@ -870,9 +870,11 @@ impl FaasSystem {
     }
 
     /// Cross-checks every ledger against the replica sets and the
-    /// cluster's capability state. Used by tests (including the warm-pool
-    /// proptest) after arbitrary interleavings.
+    /// cluster's capability state, after the cluster's own request
+    /// bookkeeping ([`ClusterSystem::check_invariants`]). Used by tests
+    /// (including the warm-pool proptest) after arbitrary interleavings.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.cluster.check_invariants()?;
         for (bi, l) in self.boards.iter().enumerate() {
             let b = bi as u16;
             let mut used = Area::ZERO;

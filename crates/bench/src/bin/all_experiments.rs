@@ -1,8 +1,13 @@
-//! Runs every experiment (quick mode by default; pass `--full` for the
+//! Runs the experiment suite (quick mode by default; pass `--full` for the
 //! complete sweeps) on a scoped thread pool and writes the perf baseline.
+//! This is the one way to run an experiment.
 //!
+//! - `--only E16[,E17,…]` runs just the named experiments (in suite order)
+//!   and writes their `results/eNN_<name>.{json,txt}` pairs; it never
+//!   reads or writes `results/BENCH_apiary.json`, so it cannot be combined
+//!   with `--bench-guard`.
 //! - `--jobs N` sets the worker count (default: available cores). Output is
-//!   byte-identical for any N: reports print in E1..E19 order and only
+//!   byte-identical for any N: reports print in suite order and only
 //!   `wall_ms` varies run to run.
 //! - `--det-check` runs the suite a second time on a single worker and
 //!   fails (exit 1) unless every report's deterministic portion is
@@ -19,6 +24,9 @@
 //! - Each experiment's structured result lands in `results/eNN_<name>.json`;
 //!   the aggregate (wall time, simulated cycles/sec and headline metrics)
 //!   in `results/BENCH_apiary.json`.
+//!
+//! An unknown flag, a bad `--jobs` value or an unknown `--only` id prints
+//! the usage text and exits 2.
 
 use apiary_bench::harness;
 use apiary_bench::report::{round3, Json};
@@ -26,30 +34,49 @@ use apiary_bench::results;
 use apiary_sim::{set_clock_mode, ClockMode};
 use std::time::Instant;
 
+const USAGE: &str = "usage: all_experiments [--full] [--jobs N] [--only E1[,E2,...]] \
+                     [--det-check[=jobs]] [--det-check=event-vs-dense] [--bench-guard]";
+
+/// Prints `problem` and the usage text, then exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("all_experiments: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = !args.iter().any(|a| a == "--full");
-    let det_check = args
-        .iter()
-        .any(|a| a == "--det-check" || a == "--det-check=jobs");
-    let det_check_clock = args.iter().any(|a| a == "--det-check=event-vs-dense");
-    let bench_guard = args.iter().any(|a| a == "--bench-guard");
+    let mut quick = true;
+    let mut det_check = false;
+    let mut det_check_clock = false;
+    let mut bench_guard = false;
     let mut jobs = harness::default_jobs();
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => jobs = n,
-            _ => {
-                eprintln!(
-                    "usage: all_experiments [--full] [--jobs N] [--det-check[=jobs]] \
-                     [--det-check=event-vs-dense] [--bench-guard]"
-                );
-                std::process::exit(2);
+    let mut only = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => quick = false,
+            "--det-check" | "--det-check=jobs" => det_check = true,
+            "--det-check=event-vs-dense" => det_check_clock = true,
+            "--bench-guard" => bench_guard = true,
+            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => jobs = n,
+                _ => usage_error("--jobs needs a worker count of at least 1"),
+            },
+            "--only" => {
+                let ids = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--only needs an id list"));
+                only = Some(harness::select(&ids).unwrap_or_else(|e| usage_error(&e)));
             }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
+    if only.is_some() && bench_guard {
+        usage_error("--only runs part of the suite; --bench-guard needs all of it");
+    }
+    let experiments = only.as_deref().unwrap_or(harness::SUITE);
 
     let suite_t0 = Instant::now();
-    let reports = harness::run_suite(quick, jobs);
+    let reports = harness::run_suite(experiments, quick, jobs);
     let suite_wall_ms = suite_t0.elapsed().as_secs_f64() * 1000.0;
 
     let mut clock_check: Option<Json> = None;
@@ -60,7 +87,7 @@ fn main() {
         // ratio is the measured event-core speedup on this workload.
         set_clock_mode(ClockMode::Dense);
         let dense_t0 = Instant::now();
-        let dense = harness::run_suite(quick, jobs);
+        let dense = harness::run_suite(experiments, quick, jobs);
         let dense_wall_ms = dense_t0.elapsed().as_secs_f64() * 1000.0;
         set_clock_mode(ClockMode::Event);
         let mut mismatches = 0;
@@ -95,7 +122,7 @@ fn main() {
         // field). On a single-core box the replay still uses two workers,
         // so the check always crosses job counts.
         let alt_jobs = if jobs == 1 { 2 } else { 1 };
-        let replay = harness::run_suite(quick, alt_jobs);
+        let replay = harness::run_suite(experiments, quick, alt_jobs);
         let mut mismatches = 0;
         for (p, s) in reports.iter().zip(replay.iter()) {
             if p.deterministic_bytes() != s.deterministic_bytes() {
@@ -123,6 +150,9 @@ fn main() {
     }
     for r in &reports {
         results::write_report_or_exit(r);
+    }
+    if only.is_some() {
+        return;
     }
 
     let total_sim_cycles: u64 = reports.iter().map(|r| r.sim_cycles).sum();

@@ -46,11 +46,6 @@ pub fn report(_quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 fn format_cells(n: u64) -> String {
     // Thousands separators, as in the paper.
     let s = n.to_string();
@@ -70,7 +65,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_values() {
-        let out = run(true);
+        let out = report(true).rendered;
         for needle in [
             "582,720",
             "876,160",
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn growth_factors_reported() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("1.48x"));
         assert!(out.contains("4.31x"));
     }

@@ -119,18 +119,13 @@ pub fn report(_quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn figure_contains_both_applications() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("video-encoder"));
         assert!(out.contains("compressor"));
         assert!(out.contains("kv-store"));
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn no_cross_app_authority() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("(must be 0): 0"), "{out}");
     }
 

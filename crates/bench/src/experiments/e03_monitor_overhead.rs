@@ -154,18 +154,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_has_all_three_parts() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("feature set"));
         assert!(out.contains("framework %"));
         assert!(out.contains("check cycles"));
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn deeper_checks_cost_more_latency() {
-        let out = run(true);
+        let out = report(true).rendered;
         // Extract p50 columns for check=0 and check=8.
         let p50 = |needle: &str| -> u64 {
             out.lines()

@@ -178,11 +178,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +213,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("speedup"));
         assert!(out.contains("energy ratio"));
     }

@@ -155,18 +155,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enforcement_section_present() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("invalid capability reference"));
         assert!(out.contains("stale capability reference"));
         assert!(out.contains("Monitor denial counter       -> 2"));
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn one_cycle_check_is_cheap() {
-        let out = run(true);
+        let out = report(true).rendered;
         // The realistic row's overhead column should be small; just check
         // the row exists and the table rendered.
         assert!(out.contains("checked (1-cycle, realistic)"));

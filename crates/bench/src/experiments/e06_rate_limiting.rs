@@ -177,11 +177,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +204,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("no defense"));
         assert!(out.contains("monitor rate limit"));
     }

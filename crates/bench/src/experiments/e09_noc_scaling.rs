@@ -164,11 +164,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +195,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("pattern: uniform"));
         assert!(out.contains("pattern: hotspot"));
         assert!(out.contains("pattern: neighbour"));

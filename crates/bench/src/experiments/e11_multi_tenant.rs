@@ -155,23 +155,13 @@ fn run_scenario(s: Scenario, requests: u64) -> Outcome {
     .max_requests(requests);
     kvc.timeout = 200_000;
 
+    // The video tenant pushes a fixed number of frames; the run ends when
+    // both tenants finish, so the KV measurements overlap the video
+    // activity. Separate tiles, so individual pumps are safe.
     match vid.as_mut() {
         Some(v) => {
-            // The video tenant pushes a fixed number of frames; the run
-            // ends when both tenants finish, so the KV measurements overlap
-            // the video activity.
             v.max_requests = (requests / 4).max(4);
-            let mut clients = [&mut kvc, v];
-            for _ in 0..100_000_000u64 {
-                sys.tick();
-                // Separate tiles, so individual pumps are safe.
-                for c in clients.iter_mut() {
-                    c.pump(&mut sys);
-                }
-                if clients.iter().all(|c| c.done()) {
-                    break;
-                }
-            }
+            drive(&mut sys, &mut [&mut kvc, v], 100_000_000);
         }
         None => {
             drive(&mut sys, &mut [&mut kvc], 100_000_000);
@@ -273,11 +263,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,7 +299,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("KV alone"));
         assert!(out.contains("flooder rate-limited"));
     }

@@ -195,18 +195,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_covers_all_parts() {
-        let out = run(true);
+        let out = report(true).rendered;
         assert!(out.contains("Swap latency"));
         assert!(out.contains("serialises concurrent swaps"));
         assert!(out.contains("availability"));
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn longer_periods_mean_higher_availability() {
-        let out = run(true);
+        let out = report(true).rendered;
         // Extract the availability column values in order.
         let avail: Vec<f64> = out
             .lines()

@@ -49,7 +49,7 @@ pub enum Chaos {
     /// Kill the highest-numbered board at `duration / 2`.
     KillBoard,
     /// Cut the highest-numbered board's uplink at `duration / 2` for
-    /// [`CUT_WINDOW`] cycles, then restore it.
+    /// `CUT_WINDOW` cycles, then restore it.
     CutLink,
 }
 
@@ -140,7 +140,7 @@ pub fn run_one(boards: u16, chaos: Chaos, duration: u64) -> RunOutcome {
         )
         .expect("replica tile free");
     }
-    c.tick_n(WARMUP);
+    c.run(WARMUP);
 
     let mut clients: Vec<ClusterClient> = (0..CLIENTS)
         .map(|i| {
@@ -372,11 +372,6 @@ pub fn report(quick: bool) -> ExperimentReport {
         metrics,
         r.render(),
     )
-}
-
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
 }
 
 #[cfg(test)]

@@ -549,11 +549,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,7 +91,7 @@ pub fn run_migration(entries: u64, duration: u64) -> MigrationCell {
         Box::new(|| Box::new(kv_store())),
     )
     .expect("replica tile free");
-    c.tick_n(2_000); // bitstream load + one gossip round
+    c.run(2_000); // bitstream load + one gossip round
     let accel = c
         .board_mut(0)
         .accel_as_mut::<KvStoreAccel>(REPLICA_NODE)
@@ -697,11 +697,6 @@ pub fn report(quick: bool) -> ExperimentReport {
         metrics,
         r.render(),
     )
-}
-
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
 }
 
 #[cfg(test)]

@@ -1,18 +1,18 @@
 //! The Apiary benchmark harness.
 //!
 //! One module per experiment; every table and figure from the paper — plus
-//! the evaluation its open questions call for — is regenerated by a `run`
-//! function and a matching binary in `src/bin/`. See `DESIGN.md` §3 for the
-//! experiment index and `EXPERIMENTS.md` for recorded results.
+//! the evaluation its open questions call for — is regenerated by that
+//! module's `report(quick)`, which returns a structured
+//! [`ExperimentReport`] (rendered prose + machine-readable metrics +
+//! simulated-cycle count). See `DESIGN.md` §3 for the experiment index and
+//! `EXPERIMENTS.md` for recorded results.
 //!
 //! All experiments accept a `quick` flag: `true` runs a scaled-down
 //! configuration suitable for CI/tests, `false` the full sweep.
 //!
-//! Each experiment exposes two entry points: `report(quick)` returns a
-//! structured [`ExperimentReport`] (rendered prose + machine-readable
-//! metrics + simulated-cycle count) and `run(quick)` is the legacy wrapper
-//! returning just the rendered text. The [`harness`] module runs the whole
-//! suite on a scoped thread pool with deterministic, order-stable output.
+//! [`harness::SUITE`] is the one table of experiments. The
+//! `all_experiments` binary runs all of it, or the ids `--only` names, on a
+//! scoped thread pool with deterministic, order-stable output.
 
 pub mod experiments;
 pub mod harness;

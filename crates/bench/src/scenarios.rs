@@ -150,8 +150,9 @@ impl MonitorClient {
     }
 
     /// Drives one cycle for a client that is alone on its tile: collect
-    /// responses, then refill the window. Call once per [`System::tick`].
-    /// Co-resident clients must use [`pump_group`] instead.
+    /// responses, then refill the window. [`drive`] calls it on every cycle
+    /// where [`MonitorClient::next_wakeup`] says it can act. Co-resident
+    /// clients must use [`pump_group`] instead.
     pub fn pump(&mut self, sys: &mut System) {
         let now = sys.now();
         self.expire(now);

@@ -179,10 +179,10 @@ fn live_migration_clocks_agree() {
             let key = i.to_le_bytes();
             accel.service_mut().insert(7, &key, &[0xAB; 32]);
         }
-        c.tick_n(2_000);
+        c.run(2_000);
         c.migrate_replica("kv", 0, 1, NodeId(5), Box::new(|| Box::new(kv_store())))
             .expect("migration starts");
-        c.tick_n(30_000);
+        c.run(30_000);
         format!(
             "{:?} kv_len={}",
             c.migration_outcomes(),

@@ -1513,15 +1513,12 @@ impl ClusterSystem {
         self.cluster_cycle(now, true);
     }
 
-    /// Advances time by one scheduling step: one cycle under the dense
-    /// clock, or up to the next cluster-wide wakeup (never beyond
-    /// `horizon`) under the event clock. Experiment drivers interleave
-    /// their own client wakeups with the cluster's exactly like the
-    /// single-board `System::advance_toward`.
-    pub fn advance_toward(&mut self, horizon: Cycle) {
-        if self.now() >= horizon {
-            return;
-        }
+    /// One scheduling step, never beyond `horizon`: one dense
+    /// [`ClusterSystem::tick`] under [`ClockMode::Dense`], or one
+    /// event-clock step to the next cluster-wide wakeup under
+    /// [`ClockMode::Event`]. The drivers below are loops over this, so it
+    /// is where they read the clock mode.
+    fn step(&mut self, horizon: Cycle) {
         if clock_mode() == ClockMode::Dense {
             self.tick();
         } else {
@@ -1529,18 +1526,23 @@ impl ClusterSystem {
         }
     }
 
-    /// Ticks `n` cycles (jumping between wakeups under the event clock;
-    /// both clocks end on the same cycle with bit-identical state).
-    pub fn tick_n(&mut self, n: u64) {
-        if clock_mode() == ClockMode::Dense {
-            for _ in 0..n {
-                self.tick();
-            }
-            return;
+    /// Advances time by one scheduling step: one cycle under the dense
+    /// clock, or up to the next cluster-wide wakeup (never beyond
+    /// `horizon`) under the event clock. Experiment drivers interleave
+    /// their own client wakeups with the cluster's exactly like the
+    /// single-board `System::advance_toward`.
+    pub fn advance_toward(&mut self, horizon: Cycle) {
+        if self.now() < horizon {
+            self.step(horizon);
         }
-        let end = Cycle(self.ticks.saturating_add(n));
+    }
+
+    /// Runs for `cycles` cycles (jumping between wakeups under the event
+    /// clock; both clocks end on the same cycle with bit-identical state).
+    pub fn run(&mut self, cycles: u64) {
+        let end = Cycle(self.ticks.saturating_add(cycles));
         while self.now() < end {
-            self.event_step(end);
+            self.step(end);
         }
     }
 }
@@ -1590,7 +1592,7 @@ impl ClusterClient {
 
 /// One driver step for a set of clients: deliver completions, then issue
 /// new arrivals and due retries, recording breaker-open transitions.
-/// Call once per [`ClusterSystem::tick`].
+/// [`run_clients`] calls it on every cycle where a client can act.
 pub fn drive_clients(cluster: &mut ClusterSystem, clients: &mut [ClusterClient]) {
     let now = cluster.now();
     for c in cluster.take_completions() {

@@ -95,7 +95,7 @@ fn gossip_converges_to_every_replica() {
         deploy_echo(&mut c, b, 20);
     }
     // No traffic, just gossip rounds.
-    c.tick_n(8_000);
+    c.run(8_000);
     for b in 0..4 {
         let live = c.directory(b).lookup_all(c.now(), "kv");
         assert_eq!(live.len(), 4, "board {b} sees all replicas");
@@ -219,7 +219,7 @@ fn transient_link_cut_retransmits_and_recovers() {
 fn reconfigure_withdraws_then_republishes() {
     let mut c = cluster(2);
     deploy_echo(&mut c, 1, 20);
-    c.tick_n(2_000); // let gossip spread the binding
+    c.run(2_000); // let gossip spread the binding
     assert_eq!(c.directory(0).lookup_all(c.now(), "kv").len(), 1);
 
     c.reconfigure_replica(1, "kv", Box::new(|| Box::new(echo(10))), BITSTREAM)
@@ -227,13 +227,13 @@ fn reconfigure_withdraws_then_republishes() {
     // Withdrawn at the home board immediately…
     assert!(c.directory(1).lookup_local(c.now(), "kv").is_none());
     // …and at peers once gossip carries the tombstone.
-    c.tick_n(1_000);
+    c.run(1_000);
     assert!(
         c.directory(0).lookup_all(c.now(), "kv").is_empty(),
         "tombstone propagated"
     );
     // Republished (new version, fresh lease) once the bitstream lands.
-    c.tick_n(4_000);
+    c.run(4_000);
     assert_eq!(c.directory(1).lookup_all(c.now(), "kv").len(), 1);
     assert_eq!(c.directory(0).lookup_all(c.now(), "kv").len(), 1);
     c.check_invariants().unwrap();
@@ -246,7 +246,7 @@ fn churn_during_remote_invocation_recovers() {
     // clients retry, and completions resume after republish.
     let mut c = cluster(2);
     deploy_echo(&mut c, 1, 20);
-    c.tick_n(2_000); // gossip warm-up before clients arrive
+    c.run(2_000); // gossip warm-up before clients arrive
     let mut clients = [client(1, 0, 250.0)];
     run(&mut c, &mut clients, 8_000);
     let before = clients[0].gen.stats.completed;
@@ -334,7 +334,7 @@ fn live_migration_moves_state_without_cap_churn() {
     let mut c = cluster(2);
     deploy_kv(&mut c, 0);
     preload_kv(&mut c, 0, 50);
-    c.tick_n(2_000); // gossip spreads the binding
+    c.run(2_000); // gossip spreads the binding
 
     // A client on board 1 invokes remotely, minting a remote cap for
     // (board 0, kv).
@@ -380,10 +380,10 @@ fn migration_blackout_scales_with_state_size() {
         let mut c = cluster(2);
         deploy_kv(&mut c, 0);
         preload_kv(&mut c, 0, entries);
-        c.tick_n(2_000);
+        c.run(2_000);
         c.migrate_replica("kv", 0, 1, REPLICA_NODE, Box::new(|| Box::new(kv_store())))
             .expect("migration starts");
-        c.tick_n(30_000);
+        c.run(30_000);
         let outcomes = c.migration_outcomes();
         assert_eq!(outcomes.len(), 1, "{entries}-entry migration completed");
         assert!(outcomes[0].warm);
@@ -412,7 +412,7 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
     preload_kv(&mut c, 0, 40);
     // Several checkpoint intervals and gossip rounds: the newest snapshot
     // replicates to board 1.
-    c.tick_n(6_000);
+    c.run(6_000);
     assert!(c.checkpoints_replicated > 0, "snapshot reached the peer");
     assert!(!c.board(1).checkpoint_store().is_empty());
 
@@ -430,7 +430,7 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
         )
         .expect("spare tile on the peer");
     assert!(warm, "recovery restored the replicated checkpoint");
-    c.tick_n(10_000); // bitstream + state through the ICAP, republish
+    c.run(10_000); // bitstream + state through the ICAP, republish
 
     assert_eq!(
         kv_retention(&c, 1, 40),
@@ -443,7 +443,7 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
     let mut cold = cluster(2);
     deploy_kv(&mut cold, 0);
     preload_kv(&mut cold, 0, 40);
-    cold.tick_n(6_000);
+    cold.run(6_000);
     cold.kill_board(0);
     let warm = cold
         .recover_replica(
@@ -458,7 +458,7 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
         )
         .expect("spare tile on the peer");
     assert!(!warm, "no replicated checkpoint: cold restart");
-    cold.tick_n(10_000);
+    cold.run(10_000);
     assert_eq!(kv_retention(&cold, 1, 40), 0, "cold restart lost the data");
     cold.check_invariants().unwrap();
 }
@@ -474,7 +474,7 @@ fn replicated_checkpoint_recovers_warm_after_board_kill() {
 fn unanswered() -> ClusterSystem {
     let mut c = cluster(2);
     deploy_echo(&mut c, 1, 20);
-    c.tick_n(2_000);
+    c.run(2_000);
     c.cut_link(1, None);
     c
 }
@@ -524,7 +524,7 @@ fn answered_request_never_times_out() {
     let timeout = ClusterConfig::default().request_timeout;
     let mut c = cluster(2);
     deploy_echo(&mut c, 1, 20);
-    c.tick_n(2_000);
+    c.run(2_000);
     let at = c.now();
     submit(&mut c, 7);
     let (when, done) = next_completions(&mut c, timeout).expect("the echo answers");
@@ -546,7 +546,7 @@ fn retried_tag_times_out_once_at_its_newest_deadline() {
     let timeout = ClusterConfig::default().request_timeout;
     let mut c = unanswered();
     submit(&mut c, 5);
-    c.tick_n(1_000);
+    c.run(1_000);
     // The resubmit supersedes the attempt still pending; the first
     // attempt's deadline must pass silently.
     let retried_at = c.now();

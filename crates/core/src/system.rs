@@ -1304,19 +1304,25 @@ impl System {
         }
     }
 
+    /// One scheduling step, never beyond `horizon`: one [`System::tick`]
+    /// under [`ClockMode::Dense`], or one event-clock step to the next
+    /// scheduled wakeup under [`ClockMode::Event`]. The drivers below are
+    /// loops over this, so it is where they read the clock mode.
+    fn step(&mut self, horizon: Cycle) {
+        if clock_mode() == ClockMode::Dense {
+            self.tick();
+        } else {
+            self.event_step(horizon);
+        }
+    }
+
     /// Runs for `cycles` cycles. Under [`ClockMode::Event`] the clock jumps
     /// between scheduled wakeups; under [`ClockMode::Dense`] every cycle is
     /// ticked. Both end at exactly the same time with bit-identical state.
     pub fn run(&mut self, cycles: u64) {
         let end = self.clock.now().saturating_add(cycles);
-        if clock_mode() == ClockMode::Dense {
-            while self.clock.now() < end {
-                self.tick();
-            }
-            return;
-        }
         while self.clock.now() < end {
-            self.event_step(end);
+            self.step(end);
         }
     }
 
@@ -1328,13 +1334,8 @@ impl System {
     /// your next deadline, `advance_toward` it in a loop, and check your
     /// tiles for mail after each step.
     pub fn advance_toward(&mut self, horizon: Cycle) {
-        if self.clock.now() >= horizon {
-            return;
-        }
-        if clock_mode() == ClockMode::Dense {
-            self.tick();
-        } else {
-            self.event_step(horizon);
+        if self.clock.now() < horizon {
+            self.step(horizon);
         }
     }
 
@@ -1346,17 +1347,8 @@ impl System {
     /// only changes on phase cycles), not of raw clock time.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&System) -> bool) -> bool {
         let end = self.clock.now().saturating_add(max_cycles);
-        if clock_mode() == ClockMode::Dense {
-            while self.clock.now() < end {
-                self.tick();
-                if pred(self) {
-                    return true;
-                }
-            }
-            return false;
-        }
         while self.clock.now() < end {
-            self.event_step(end);
+            self.step(end);
             if pred(self) {
                 return true;
             }

@@ -9,6 +9,7 @@ use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::net::{EthernetTile, NetConfig, RequestGen, Workload};
 use apiary::noc::{Delivered, NodeId, TrafficClass};
+use apiary::sim::{Cycle, Wakeup};
 
 // ---------------------------------------------------------------------
 // Hash service: verify payload integrity across the whole stack.
@@ -169,13 +170,15 @@ impl Accelerator for MemEcho {
         self
     }
 
-    fn tick(&mut self, os: &mut dyn TileOs) {
+    fn wake(&mut self, now: Cycle, os: &mut dyn TileOs) -> Wakeup {
+        // Polls its inbox for the memory replies every cycle.
+        let next = Wakeup::AtOrMessage(now + 1);
         let mem = os.cap_env().get("mem").expect("granted at setup");
         match std::mem::replace(&mut self.state, MemEchoState::Idle) {
             MemEchoState::Idle => {
                 if let Some(req) = os.recv() {
                     if req.msg.kind != wire::KIND_REQUEST {
-                        return;
+                        return next;
                     }
                     os.mem_write(mem, 0, &req.msg.payload, 1)
                         .expect("segment is large enough");
@@ -207,6 +210,7 @@ impl Accelerator for MemEcho {
                 _ => self.state = MemEchoState::Reading { req, len },
             },
         }
+        next
     }
 }
 

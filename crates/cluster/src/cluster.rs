@@ -227,6 +227,22 @@ struct Board {
     phase_due: Cycle,
 }
 
+impl Board {
+    /// Points the `local_caps` entry for `service` at `cap`, or clears it,
+    /// and revokes the gateway cap it replaces: the map must mirror exactly
+    /// the live `Service` caps in the gateway's table, or every replaced
+    /// entry leaks one of the gateway's cap slots.
+    fn set_local_cap(&mut self, gw: NodeId, service: u32, cap: Option<CapRef>) {
+        let stale = match cap {
+            Some(cap) => self.local_caps.insert(service, cap),
+            None => self.local_caps.remove(&service),
+        };
+        if let Some(stale) = stale {
+            let _ = self.sys.tile_mut(gw).monitor.revoke_cap(stale);
+        }
+    }
+}
+
 /// The multi-board machine.
 pub struct ClusterSystem {
     cfg: ClusterConfig,
@@ -642,6 +658,7 @@ impl ClusterSystem {
     /// a decommissioned tile. Returns the freed node.
     pub fn pool_teardown(&mut self, board: u16, name: &str) -> Result<NodeId, SystemError> {
         let now = self.now();
+        let gw = self.cfg.gateway;
         let bad = || SystemError::BadNode(NodeId(u16::MAX));
         let service;
         let node;
@@ -658,11 +675,10 @@ impl ClusterSystem {
             node = meta.node;
             b.dir.withdraw(now, name);
             b.sys.undeploy_service(meta.service);
-            b.local_caps.remove(&meta.service.0);
+            b.set_local_cap(gw, meta.service.0, None);
             b.replicas.remove(name);
             b.republish.retain(|r| r.name != name);
         }
-        let gw = self.cfg.gateway;
         for peer in &mut self.boards {
             if !peer.alive {
                 continue;
@@ -721,7 +737,7 @@ impl ClusterSystem {
         m.state_bytes = state.len() as u64;
         m.phase = MigPhase::Transfer;
         b.sys.undeploy_service(m.service);
-        b.local_caps.remove(&sid);
+        b.set_local_cap(gw, sid, None);
         b.replicas.remove(&m.name);
         let msg = ClusterMsg {
             src: m.src,
@@ -927,7 +943,9 @@ impl ClusterSystem {
     /// Cross-checks the request bookkeeping: the deadline queue is in
     /// deadline order, every pending request has exactly one live entry
     /// carrying its deadline, and the balancer's in-flight count for each
-    /// replica equals the number of pending requests that target it.
+    /// replica equals the number of pending requests that target it; and
+    /// each live board's `local_caps` mirrors exactly the `Service` caps
+    /// live in its gateway's table.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev = Cycle::ZERO;
         let mut live: BTreeMap<u64, usize> = BTreeMap::new();
@@ -972,6 +990,34 @@ impl ClusterSystem {
             return Err(format!(
                 "balancer holds {held} in flight in all, {pending} requests are pending"
             ));
+        }
+        self.check_gateway_caps()
+    }
+
+    /// Checks that each live board's `local_caps` mirrors exactly the
+    /// `Service` caps live in its gateway's table: every live one is the
+    /// mirror's entry for its service, and there are no others.
+    fn check_gateway_caps(&self) -> Result<(), String> {
+        let gw = self.cfg.gateway;
+        for (bi, b) in self.boards.iter().enumerate().filter(|(_, b)| b.alive) {
+            let mut live = 0;
+            for (cap, c) in b.sys.tile(gw).monitor.caps().iter_live() {
+                if let CapKind::Service(service) = c.kind {
+                    live += 1;
+                    if b.local_caps.get(&service.0) != Some(&cap) {
+                        return Err(format!(
+                            "board {bi}: gateway cap {cap:?} for service {} is not in local_caps",
+                            service.0
+                        ));
+                    }
+                }
+            }
+            if live != b.local_caps.len() {
+                return Err(format!(
+                    "board {bi}: local_caps holds {} caps, the gateway {live} live service caps",
+                    b.local_caps.len()
+                ));
+            }
         }
         Ok(())
     }
@@ -1066,7 +1112,7 @@ impl ClusterSystem {
                 // attach_client reinstalls them and refreshes the
                 // gateway's service cap.
                 if let Ok(cap) = b.sys.attach_client(gw, r.meta.service) {
-                    b.local_caps.insert(r.meta.service.0, cap);
+                    b.set_local_cap(gw, r.meta.service.0, Some(cap));
                 }
                 let _ = b.dir.publish(now, &r.name, r.meta.service, r.meta.node);
             }

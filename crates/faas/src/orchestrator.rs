@@ -1006,6 +1006,40 @@ mod tests {
     }
 
     #[test]
+    fn repeated_scale_to_zero_leaks_no_gateway_caps() {
+        // Regression: teardown dropped the gateway's cap for the replica
+        // without revoking it, so each round leaked one of the gateway's
+        // 32 cap slots and the 33rd cold start never went live.
+        let mut s = FaasSystem::new(FaasConfig {
+            cluster: ClusterConfig {
+                boards: 1,
+                ..ClusterConfig::default()
+            },
+            autoscale_interval: 1_000,
+            idle_intervals_to_zero: 2,
+            ..FaasConfig::default()
+        });
+        let f = s.register(spec("f", 50_000, 4_096));
+        for round in 1..=60u64 {
+            assert_eq!(
+                s.invoke(f, 1, 0, vec![0; 32]),
+                InvokeOutcome::Queued { cold: true },
+                "round {round}"
+            );
+            assert!(
+                s.run_until(60_000, |s| s.stats(0).completed_ok == round),
+                "round {round}: the cold start never completed"
+            );
+            assert!(
+                s.run_until(60_000, |s| s.live_replicas(0) == 0),
+                "round {round}: no scale to zero"
+            );
+            s.check_invariants()
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        }
+    }
+
+    #[test]
     fn cache_hit_skips_the_fetch() {
         let mut s = small_system();
         let f = s.register(spec("f", 50_000, 8_192));
